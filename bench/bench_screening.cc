@@ -1,11 +1,9 @@
 // Measures the int8 quantized screen (eval/screen.h) against the exact
-// prepared engine it replaces, on both evaluators that use it: the sampled
-// estimator (per-pool band rescoring) and the full filtered ranking
-// (per-tile envelope skips + band rescoring). Every screened pass is
-// parity-checked rank-for-rank against its exact twin — screening is only
-// a win if it is *free* in correctness terms — and --json writes
-// BENCH_screening.json whose top-level "parity" field CI gates on. A rank
-// mismatch prints MISMATCH and exits nonzero.
+// tile sweep it replaces in the full filtered ranking (per-tile band
+// rescoring). Every screened pass is parity-checked rank-for-rank against
+// its exact twin — screening is only a win if it is *free* in correctness
+// terms — and --json writes BENCH_screening.json whose top-level "parity"
+// field CI gates on. A rank mismatch prints MISMATCH and exits nonzero.
 
 #include <algorithm>
 #include <cstdio>
@@ -14,8 +12,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/sampled_evaluator.h"
-#include "core/samplers.h"
 #include "eval/full_evaluator.h"
 #include "la/kernels/kernels.h"
 #include "util/string_util.h"
@@ -28,12 +24,10 @@ using namespace kgeval;
 
 struct ScreenRow {
   const char* model;
-  std::string pass;  // "sampled" or "full"
   double exact_s = 0.0;
   double screened_s = 0.0;
   int64_t screened = 0;
   int64_t rescored = 0;
-  int64_t tiles_skipped = 0;
   bool parity = false;
 
   double Speedup() const { return exact_s / screened_s; }
@@ -77,14 +71,12 @@ void WriteJson(const std::vector<ScreenRow>& rows, bool all_parity) {
     const ScreenRow& r = rows[i];
     std::fprintf(
         f,
-        "    {\"model\": \"%s\", \"pass\": \"%s\", \"exact_s\": %.6f, "
-        "\"screened_s\": %.6f, \"speedup\": %.3f, \"screened\": %lld, "
-        "\"rescored\": %lld, \"rescore_fraction\": %.4f, "
-        "\"tiles_skipped\": %lld, \"rank_parity\": %s}%s\n",
-        JsonEscape(r.model).c_str(), JsonEscape(r.pass).c_str(), r.exact_s,
-        r.screened_s, r.Speedup(), static_cast<long long>(r.screened),
+        "    {\"model\": \"%s\", \"exact_s\": %.6f, \"screened_s\": %.6f, "
+        "\"speedup\": %.3f, \"screened\": %lld, \"rescored\": %lld, "
+        "\"rescore_fraction\": %.4f, \"rank_parity\": %s}%s\n",
+        JsonEscape(r.model).c_str(), r.exact_s, r.screened_s, r.Speedup(),
+        static_cast<long long>(r.screened),
         static_cast<long long>(r.rescored), r.RescoreFraction(),
-        static_cast<long long>(r.tiles_skipped),
         r.parity ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -105,7 +97,6 @@ int main(int argc, char** argv) {
   const Dataset& dataset = synth.dataset;
   const FilterIndex filter(dataset);
   const int reps = args.fast ? 3 : 7;
-  const int64_t n_s = static_cast<int64_t>(0.1 * dataset.num_entities());
 
   // Trained models, not random init: the screen's band width tracks how far
   // the truth score sits above the pool, which is exactly what training
@@ -115,10 +106,10 @@ int main(int argc, char** argv) {
                                          ModelType::kTransE};
 
   bench::PrintHeader(StrFormat(
-      "Quantized screening vs exact prepared engine (%s, kernels=%s)",
+      "Full-ranking screening vs exact tile sweep (%s, kernels=%s)",
       dataset_name.c_str(), ActiveScoreKernelName()));
-  TextTable table({"Model", "Pass", "Exact (s)", "Screened (s)", "Speed-up",
-                   "Rescored", "Tiles skipped", "Rank parity"});
+  TextTable table({"Model", "Exact (s)", "Screened (s)", "Speed-up",
+                   "Rescored", "Rank parity"});
   std::vector<ScreenRow> rows;
   bool all_parity = true;
   for (ModelType type : models) {
@@ -133,85 +124,41 @@ int main(int argc, char** argv) {
     if (args.epochs > 0) spec.epochs = args.epochs;
     auto model = bench::TrainModel(dataset, spec);
 
-    Rng rng(91);
-    const SampledCandidates pools = DrawCandidates(
-        SamplingStrategy::kRandom, nullptr, dataset.num_entities(), n_s,
-        NeededSlots(dataset, Split::kTest), 2 * dataset.num_relations(),
-        &rng);
-
-    // --- Sampled estimator: exact vs screened on identical pools. ---
-    SampledEvalOptions screened_options;
+    FullEvalOptions exact_options;
+    if (args.fast) exact_options.max_triples = 200;
+    FullEvalOptions screened_options = exact_options;
     screened_options.screening = true;
-    const SampledEvalResult exact =
-        EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    const SampledEvalResult screened = EvaluateSampled(
-        *model, dataset, filter, Split::kTest, pools, screened_options);
+    const FullEvalResult exact = EvaluateFullRanking(
+        *model, dataset, filter, Split::kTest, exact_options);
+    const FullEvalResult screened = EvaluateFullRanking(
+        *model, dataset, filter, Split::kTest, screened_options);
     ScreenRow row;
     row.model = ModelTypeName(type);
-    row.pass = "sampled";
     row.parity = exact.ranks == screened.ranks;
     row.screened = screened.screen.screened;
     row.rescored = screened.screen.rescored;
     row.exact_s = MinSeconds(reps, [&] {
-      EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
+      EvaluateFullRanking(*model, dataset, filter, Split::kTest,
+                          exact_options);
     });
     row.screened_s = MinSeconds(reps, [&] {
-      EvaluateSampled(*model, dataset, filter, Split::kTest, pools,
-                      screened_options);
+      EvaluateFullRanking(*model, dataset, filter, Split::kTest,
+                          screened_options);
     });
     all_parity = all_parity && row.parity;
     rows.push_back(row);
-    table.AddRow({row.model, row.pass, bench::F(row.exact_s, 4),
+    table.AddRow({row.model, bench::F(row.exact_s, 4),
                   bench::F(row.screened_s, 4),
                   StrFormat("%.2fx", row.Speedup()),
-                  bench::Pct(row.RescoreFraction()), "-",
+                  bench::Pct(row.RescoreFraction()),
                   row.parity ? "exact" : "MISMATCH"});
-
-    // --- Full filtered ranking: exact vs screened tile sweep. ---
-    FullEvalOptions full_exact_options;
-    FullEvalOptions full_screened_options;
-    full_screened_options.screening = true;
-    if (args.fast) {
-      full_exact_options.max_triples = 200;
-      full_screened_options.max_triples = 200;
-    }
-    const FullEvalResult full_exact = EvaluateFullRanking(
-        *model, dataset, filter, Split::kTest, full_exact_options);
-    const FullEvalResult full_screened = EvaluateFullRanking(
-        *model, dataset, filter, Split::kTest, full_screened_options);
-    ScreenRow full_row;
-    full_row.model = ModelTypeName(type);
-    full_row.pass = "full";
-    full_row.parity = full_exact.ranks == full_screened.ranks;
-    full_row.screened = full_screened.screen.screened;
-    full_row.rescored = full_screened.screen.rescored;
-    full_row.tiles_skipped = full_screened.screen.tiles_skipped;
-    full_row.exact_s = MinSeconds(reps, [&] {
-      EvaluateFullRanking(*model, dataset, filter, Split::kTest,
-                          full_exact_options);
-    });
-    full_row.screened_s = MinSeconds(reps, [&] {
-      EvaluateFullRanking(*model, dataset, filter, Split::kTest,
-                          full_screened_options);
-    });
-    all_parity = all_parity && full_row.parity;
-    rows.push_back(full_row);
-    table.AddRow({full_row.model, full_row.pass,
-                  bench::F(full_row.exact_s, 4),
-                  bench::F(full_row.screened_s, 4),
-                  StrFormat("%.2fx", full_row.Speedup()),
-                  bench::Pct(full_row.RescoreFraction()),
-                  StrFormat("%lld",
-                            static_cast<long long>(full_row.tiles_skipped)),
-                  full_row.parity ? "exact" : "MISMATCH"});
   }
   std::printf("%s", table.ToString().c_str());
   bench::PrintNote(
       "'Rescored' is the fraction of int8-swept candidates whose band "
       "reached the truth score and was re-scored exactly — the screen's "
       "work bound. Ranks are compared bit-for-bit against the exact "
-      "engine; any mismatch fails this binary. Tile skips only apply to "
-      "the full pass (whole-tile truth-threshold early termination).");
+      "sweep; any mismatch fails this binary.");
   if (args.json) WriteJson(rows, all_parity);
   if (!all_parity) {
     std::fprintf(stderr, "bench_screening: RANK PARITY MISMATCH\n");

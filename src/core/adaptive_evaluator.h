@@ -38,13 +38,6 @@ struct AdaptiveEvalOptions {
   /// Seed of the schedule shuffle. The whole pass is deterministic given
   /// this seed, the pools, and the model.
   uint64_t shuffle_seed = 29;
-  /// Same engine switch as SampledEvalOptions::prepared_pools.
-  bool prepared_pools = true;
-  /// Same switches as SampledEvalOptions::screening /
-  /// screening_min_pool: bit-identical ranks, so the stopping decision —
-  /// and the returned estimate — are unchanged by screening.
-  bool screening = false;
-  size_t screening_min_pool = 64;
   /// Cooperative cancellation, polled between rounds and (through the
   /// shared ScoreSlotBlocks) between query blocks within a round. A
   /// cancelled pass reports `cancelled` on its result; its metrics are
@@ -71,9 +64,6 @@ struct AdaptiveEvalResult {
   /// the finite-population correction refer to), regardless of budgets.
   int64_t total_queries = 0;
   int64_t scored_candidates = 0;
-  /// Screening work counters over the evaluated rounds (zero when
-  /// screening was off or never applicable).
-  ScreenStats screen;
   int64_t rounds = 0;
   /// True iff the pass stopped because the confidence test was met. A pass
   /// that consumes the whole split converges trivially when the finite-

@@ -82,7 +82,6 @@ SampledEvalResult EvaluationFramework::EstimateOnPools(
   SampledEvalOptions eval_options;
   eval_options.tie = options_.tie;
   eval_options.max_triples = max_triples;
-  eval_options.screening = options_.screening;
   eval_options.cancel = cancel;
   return EvaluateSampled(model, *dataset_, protocol, split, pools,
                          eval_options);
@@ -110,7 +109,6 @@ AdaptiveEvalResult EvaluationFramework::EstimateAdaptiveOnPools(
     const CancelToken* cancel) const {
   AdaptiveEvalOptions eval_options = adaptive;
   eval_options.tie = options_.tie;
-  if (options_.screening) eval_options.screening = true;
   if (cancel != nullptr) eval_options.cancel = cancel;
   return EvaluateAdaptive(model, *dataset_, protocol, split, pools,
                           eval_options);

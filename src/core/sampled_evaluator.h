@@ -5,7 +5,6 @@
 #include "eval/full_evaluator.h"
 #include "eval/metrics.h"
 #include "eval/protocol.h"
-#include "eval/screen.h"
 #include "eval/slot_blocks.h"
 #include "graph/dataset.h"
 #include "models/kge_model.h"
@@ -24,24 +23,6 @@ struct SampledEvalOptions {
   TieBreak tie = TieBreak::kMean;
   /// Cap on evaluated triples (0 = all); deterministic prefix of the split.
   int64_t max_triples = 0;
-  /// Prepare each slot's candidate pool once (PrepareCandidates) and score
-  /// every query block through the fused ScoreBlock kernel. false falls
-  /// back to the per-block gather engine (ScoreBatch + ScorePairs), kept so
-  /// benches can measure the prepared path against it; ranks are
-  /// bit-identical either way.
-  bool prepared_pools = true;
-  /// Quantized screening over prepared pools (eval/screen.h): each slot's
-  /// tile gets an int8 sidecar, pass 1 scores the whole pool through the
-  /// int8 kernel, and only the band of candidates whose approximate score
-  /// plus a conservative error bound reaches the exact truth score is
-  /// re-scored exactly. Ranks stay bit-identical to the unscreened path.
-  /// Requires prepared_pools and a model with a kernel surface (models
-  /// without one fall back to exact scoring, unscreened).
-  bool screening = false;
-  /// Pools smaller than this score exactly even under `screening`: the
-  /// two-pass overhead (quantization + int8 sweep) only pays off when
-  /// there is enough pool to skip.
-  size_t screening_min_pool = 64;
   /// Confidence level of the RankingCi reported with the result.
   double ci_confidence = 0.95;
   /// Cooperative cancellation, polled between query blocks (not borrowed —
@@ -62,9 +43,6 @@ struct SampledEvalResult {
   double eval_seconds = 0.0;    // Scoring + ranking time.
   double sample_seconds = 0.0;  // Copied from the SampledCandidates.
   int64_t scored_candidates = 0;
-  /// Screening work counters (all zero unless options.screening did any
-  /// screening): pool entries swept by the int8 pass vs. re-scored exactly.
-  ScreenStats screen;
   /// True when SampledEvalOptions::cancel fired mid-pass: the pass ended
   /// early, metrics/ranks are partial garbage, discard everything.
   bool cancelled = false;
@@ -80,13 +58,6 @@ struct SlotBlockScratch {
   std::vector<float> scores, truth_scores;
   CandidateBlock prepared;
   int32_t prepared_slot = -1;
-  /// Screening-path buffers and per-scratch work counters; the counters
-  /// accumulate across ScoreSlotBlocks calls and are folded into the
-  /// result (and the process-wide totals) by the owning pass.
-  ScreenScratch screen;
-  ScreenStats screen_stats;
-  std::vector<const std::vector<int32_t>*> answers;
-  std::vector<double> block_ranks;
 };
 
 /// The shared incremental core of the sampled evaluators: scores blocks
@@ -148,8 +119,9 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
                                   const SampledEvalOptions& options = {});
 
 /// Reference triple-major implementation scoring one query at a time through
-/// ScoreCandidates. Kept as the baseline the batched path is benchmarked and
-/// parity-tested against; produces bit-identical ranks to EvaluateSampled.
+/// ScoreCandidates. Kept as the parity oracle the prepared engine is
+/// benchmarked and tested against; produces bit-identical ranks to
+/// EvaluateSampled.
 SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
                                         const Dataset& dataset,
                                         const EvalProtocol& protocol,

@@ -10,15 +10,14 @@
 
 namespace kgeval {
 
-double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
-                    int32_t truth, float truth_score,
-                    const std::vector<int32_t>& answers, TieBreak tie,
-                    bool candidates_sorted) {
-  int64_t higher = 0;
-  int64_t tied = 0;
+RankCounts CountFilteredRank(const int32_t* candidates, const float* scores,
+                             size_t n, int32_t truth, float truth_score,
+                             const std::vector<int32_t>& answers,
+                             bool candidates_sorted) {
+  RankCounts counts;
   if (candidates_sorted) {
-    // Count higher/tied over the whole pool in one vectorizable sweep, then
-    // subtract the skipped candidates (truth duplicates and filtered
+    // Count higher/tied over the whole array in one vectorizable sweep,
+    // then subtract the skipped candidates (truth duplicates and filtered
     // answers) located by binary search — identical counts to the reference
     // walk below, at a fraction of its branchy per-candidate cost.
     {
@@ -27,17 +26,17 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
         h += scores[i] > truth_score;
         t += scores[i] == truth_score;
       }
-      higher = h;
-      tied = t;
+      counts.higher = h;
+      counts.tied = t;
     }
     const auto subtract_range = [&](int32_t value) {
       const int32_t* lo = std::lower_bound(candidates, candidates + n, value);
       for (const int32_t* p = lo; p != candidates + n && *p == value; ++p) {
         const float s = scores[p - candidates];
         if (s > truth_score) {
-          --higher;
+          --counts.higher;
         } else if (s == truth_score) {
-          --tied;
+          --counts.tied;
         }
       }
     };
@@ -55,13 +54,22 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
       if (c == truth) continue;
       if (std::binary_search(answers.begin(), answers.end(), c)) continue;
       if (scores[i] > truth_score) {
-        ++higher;
+        ++counts.higher;
       } else if (scores[i] == truth_score) {
-        ++tied;
+        ++counts.tied;
       }
     }
   }
-  return RankFromCounts(higher, tied, tie);
+  return counts;
+}
+
+double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
+                    int32_t truth, float truth_score,
+                    const std::vector<int32_t>& answers, TieBreak tie,
+                    bool candidates_sorted) {
+  const RankCounts counts = CountFilteredRank(
+      candidates, scores, n, truth, truth_score, answers, candidates_sorted);
+  return RankFromCounts(counts.higher, counts.tied, tie);
 }
 
 namespace {
@@ -127,7 +135,7 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   const bool screened = num_tiles > 0 && tiles[0].quantized;
 
   std::atomic<int64_t> screen_queries{0}, screen_screened{0},
-      screen_rescored{0}, screen_tiles_skipped{0};
+      screen_rescored{0};
   // Slot-aligned chunks on an explicit TaskGroup, like the sampled
   // evaluator: the pass waits only on its own chunks, and chunk boundaries
   // coincide with slot boundaries so per-chunk query state never straddles
@@ -138,9 +146,7 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
     std::vector<float> truth_scores(kQueryBlock);
     std::vector<float> scores(kQueryBlock * tile_size);
     std::vector<const std::vector<int32_t>*> answers(kQueryBlock);
-    std::vector<int64_t> higher(kQueryBlock), tied(kQueryBlock);
-    std::vector<size_t> cursor(kQueryBlock);
-    std::vector<char> tile_dead(kQueryBlock);
+    std::vector<RankCounts> counts(kQueryBlock);
     ScreenScratch screen_scratch;
     ScreenStats stats;
     for (size_t b = block_lo; b < block_hi; ++b) {
@@ -156,15 +162,12 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
         truths[q] = tail_dir ? triple.tail : triple.head;
         answers[q] = protocol.Answers(triple, block.direction);
         KGEVAL_CHECK(answers[q] != nullptr);
-        higher[q] = 0;
-        tied[q] = 0;
-        cursor[q] = 0;
+        counts[q] = RankCounts();
       }
       if (screened) {
-        // Screened sweep: one query construction serves the truth scores,
-        // every tile's skip test, and every band re-score.
+        // Screened sweep: one query construction serves the truth scores
+        // and every band re-score.
         const BatchKernel kind = model.batch_kernel();
-        const float eps = model.batch_kernel_eps();
         model.BuildKernelQueries(anchors.data(), qb, kernel_relation,
                                  block.direction, &screen_scratch.queries);
         const Matrix& queries = screen_scratch.queries;
@@ -174,28 +177,11 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                &truth_scores[q]);
         }
         stats.queries += static_cast<int64_t>(qb);
-        for (size_t ti = 0; ti < num_tiles; ++ti) {
-          const CandidateBlock& tile = tiles[ti];
+        for (const CandidateBlock& tile : tiles) {
           const size_t tn = tile.size();
-          // Truth-threshold early termination: a tile whose envelope upper
-          // bound sits strictly below a query's truth score cannot hold a
-          // higher or tied candidate for it; when that is true of every
-          // query of the block, the tile is never even swept.
-          size_t active = 0;
-          for (size_t q = 0; q < qb; ++q) {
-            const float ub =
-                TileScoreUpperBound(kind, queries.Row(q), dim, tile, eps);
-            tile_dead[q] = ub < truth_scores[q];
-            if (!tile_dead[q]) ++active;
-          }
-          if (active == 0) {
-            ++stats.tiles_skipped;
-            continue;
-          }
           ScreenApproxBlock(model, queries, qb, tile, &screen_scratch);
           stats.screened += static_cast<int64_t>(qb) * tn;
           for (size_t q = 0; q < qb; ++q) {
-            if (tile_dead[q]) continue;
             const float bound =
                 ScreenErrorBound(kind, queries.Row(q), dim, tile);
             const float truth_score = truth_scores[q];
@@ -211,63 +197,35 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
             model.ScoreWithQuery(queries, q,
                                  screen_scratch.band_ids.data(), band,
                                  screen_scratch.band_scores.data());
-            const std::vector<int32_t>& ans = *answers[q];
-            for (size_t c = 0; c < band; ++c) {
-              const int32_t e = screen_scratch.band_ids[c];
-              if (e == truths[q]) continue;
-              if (std::binary_search(ans.begin(), ans.end(), e)) continue;
-              const float s = screen_scratch.band_scores[c];
-              if (s > truth_score) {
-                ++higher[q];
-              } else if (s == truth_score) {
-                ++tied[q];
-              }
-            }
+            // The band keeps the tile's sorted id order.
+            counts[q] += CountFilteredRank(
+                screen_scratch.band_ids.data(),
+                screen_scratch.band_scores.data(), band, truths[q],
+                truth_score, *answers[q], /*candidates_sorted=*/true);
             stats.rescored += static_cast<int64_t>(band);
           }
         }
       } else {
         for (size_t ti = 0; ti < num_tiles; ++ti) {
-          const int32_t e0 = static_cast<int32_t>(ti * tile_size);
-          const int32_t e1 = std::min(
-              num_entities, e0 + static_cast<int32_t>(tile_size));
-          const size_t tile = static_cast<size_t>(e1 - e0);
+          const CandidateBlock& tile = tiles[ti];
           // The first tile's fused call also emits the truth scores, so
           // the block runs one query construction fewer than a separate
           // ScorePairs pass would.
           model.ScoreBlock(
               anchors.data(), ti == 0 ? truths.data() : nullptr, qb,
-              kernel_relation, block.direction, tiles[ti], scores.data(),
+              kernel_relation, block.direction, tile, scores.data(),
               ti == 0 ? truth_scores.data() : nullptr);
           for (size_t q = 0; q < qb; ++q) {
-            const std::vector<int32_t>& ans = *answers[q];
-            const float truth_score = truth_scores[q];
-            const float* row = scores.data() + q * tile;
-            // Walk the tile in order, advancing a cursor through the
-            // sorted answers list instead of binary-searching per entity.
-            size_t cur = cursor[q];
-            int64_t h = 0, t = 0;
-            for (int32_t e = e0; e < e1; ++e) {
-              while (cur < ans.size() && ans[cur] < e) ++cur;
-              if (cur < ans.size() && ans[cur] == e) {
-                continue;  // Filtered (includes e == truth).
-              }
-              const float s = row[e - e0];
-              if (s > truth_score) {
-                ++h;
-              } else if (s == truth_score) {
-                ++t;
-              }
-            }
-            cursor[q] = cur;
-            higher[q] += h;
-            tied[q] += t;
+            counts[q] += CountFilteredRank(
+                tile.ids.data(), scores.data() + q * tile.size(),
+                tile.size(), truths[q], truth_scores[q], *answers[q],
+                tile.sorted);
           }
         }
       }
       for (size_t q = 0; q < qb; ++q) {
         const double rank =
-            RankFromCounts(higher[q], tied[q], options.tie);
+            RankFromCounts(counts[q].higher, counts[q].tied, options.tie);
         const size_t i =
             static_cast<size_t>((*block.triple_idx)[block.begin + q]);
         result.ranks[i * 2 + (tail_dir ? 0 : 1)] = rank;
@@ -277,16 +235,12 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
       screen_queries.fetch_add(stats.queries, std::memory_order_relaxed);
       screen_screened.fetch_add(stats.screened, std::memory_order_relaxed);
       screen_rescored.fetch_add(stats.rescored, std::memory_order_relaxed);
-      screen_tiles_skipped.fetch_add(stats.tiles_skipped,
-                                     std::memory_order_relaxed);
-      AddGlobalScreenStats(stats);
     }
   });
   group.Wait();
   result.screen.queries = screen_queries.load();
   result.screen.screened = screen_screened.load();
   result.screen.rescored = screen_rescored.load();
-  result.screen.tiles_skipped = screen_tiles_skipped.load();
 
   result.metrics = RankingMetrics::FromRanks(result.ranks);
   return result;

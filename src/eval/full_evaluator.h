@@ -24,12 +24,10 @@ struct FullEvalOptions {
   /// sweeps (used by tests); ranks are identical for any tile size.
   size_t entity_tile = 32768;
   /// Quantized screening of the entity sweep (eval/screen.h): each tile
-  /// gets an int8 sidecar; per block, tiles whose envelope score bound
-  /// falls strictly below every query's truth score are skipped outright
-  /// (truth-threshold early termination), surviving tiles are swept with
-  /// the int8 kernel, and only each query's band is re-scored exactly.
-  /// Ranks stay bit-identical to the unscreened sweep. Models without a
-  /// kernel surface ignore the flag.
+  /// gets an int8 sidecar, every tile is swept with the int8 kernel, and
+  /// only each query's band is re-scored exactly. Ranks stay bit-identical
+  /// to the unscreened sweep. Models without a kernel surface ignore the
+  /// flag.
   bool screening = false;
 };
 
@@ -39,7 +37,7 @@ struct FullEvalResult {
   RankingMetrics metrics;
   std::vector<double> ranks;
   /// Screening work counters (zero when FullEvalOptions::screening was off
-  /// or the model has no kernel surface), tiles_skipped included.
+  /// or the model has no kernel surface).
   ScreenStats screen;
 };
 
@@ -60,16 +58,39 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const FilterIndex& filter, Split split,
                                    const FullEvalOptions& options = {});
 
-/// Rank of the true answer within a scored candidate array, with the
+/// Scores strictly above and exactly equal to the truth's, over the
+/// candidates that survive filtering. Every rank in the library is built
+/// from these two counts.
+struct RankCounts {
+  int64_t higher = 0;
+  int64_t tied = 0;
+
+  RankCounts& operator+=(const RankCounts& other) {
+    higher += other.higher;
+    tied += other.tied;
+    return *this;
+  }
+};
+
+/// Counts a scored candidate array against the true answer, with the
 /// filtered candidates removed: `answers` is the sorted list of known true
-/// answers for the query (must contain `truth`). `scores[i]` corresponds to
-/// `candidates[i]`; candidates may contain duplicates of `truth` (skipped).
-/// Fastest when `candidates` is sorted (one vectorized sweep plus binary
-/// searches over `answers`, the layout candidate pools arrive in); unsorted
-/// arrays stay correct. `candidates_sorted` states whether the array is
-/// non-decreasing — pool sortedness is a SampledCandidates invariant, so
-/// callers compute it once per pool (PrepareCandidates records it) instead
-/// of paying an O(n) sweep per query.
+/// answers for the query. `scores[i]` corresponds to `candidates[i]`;
+/// candidates may contain duplicates of `truth` (skipped). Fastest when
+/// `candidates` is sorted (one vectorized sweep plus binary searches over
+/// the candidates for each answer, the layout candidate pools and entity
+/// tiles arrive in); unsorted arrays take a reference walk with identical
+/// counts. `candidates_sorted` states whether the array is non-decreasing —
+/// pool sortedness is a SampledCandidates invariant, so callers compute it
+/// once per pool (PrepareCandidates records it) instead of paying an O(n)
+/// sweep per query. Counts over disjoint candidate ranges add up, so a
+/// caller may count tile by tile.
+RankCounts CountFilteredRank(const int32_t* candidates, const float* scores,
+                             size_t n, int32_t truth, float truth_score,
+                             const std::vector<int32_t>& answers,
+                             bool candidates_sorted);
+
+/// Rank of the true answer within a scored candidate array, with the
+/// filtered candidates removed: CountFilteredRank resolved by `tie`.
 double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
                     int32_t truth, float truth_score,
                     const std::vector<int32_t>& answers, TieBreak tie,

@@ -1,7 +1,6 @@
 #include "eval/screen.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "la/kernels/kernels.h"
@@ -18,19 +17,6 @@ namespace {
 /// to the quantization term (~amp/254 per dim).
 float FpSlack(size_t dim) { return 2.4e-7f * static_cast<float>(dim); }
 
-std::atomic<int64_t> g_queries{0};
-std::atomic<int64_t> g_screened{0};
-std::atomic<int64_t> g_rescored{0};
-std::atomic<int64_t> g_tiles_skipped{0};
-
-/// Distance from q to the interval [lo, hi]; 0 inside it. The per-dim
-/// building block of the tile-skip bounds for the distance kernels.
-float GapToRange(float q, float lo, float hi) {
-  if (q < lo) return lo - q;
-  if (q > hi) return q - hi;
-  return 0.0f;
-}
-
 /// One lane of the query-row quantization for the integer dot: the
 /// round-to-nearest level of pre-scaled value `a` at inverse scale
 /// `inv_qs`, clamped to the symmetric int8 range. ScreenErrorBound and
@@ -42,22 +28,6 @@ int32_t QuantizeQueryLane(float a, float inv_qs) {
 }
 
 }  // namespace
-
-void AddGlobalScreenStats(const ScreenStats& stats) {
-  g_queries.fetch_add(stats.queries, std::memory_order_relaxed);
-  g_screened.fetch_add(stats.screened, std::memory_order_relaxed);
-  g_rescored.fetch_add(stats.rescored, std::memory_order_relaxed);
-  g_tiles_skipped.fetch_add(stats.tiles_skipped, std::memory_order_relaxed);
-}
-
-ScreenStats GlobalScreenStats() {
-  ScreenStats stats;
-  stats.queries = g_queries.load(std::memory_order_relaxed);
-  stats.screened = g_screened.load(std::memory_order_relaxed);
-  stats.rescored = g_rescored.load(std::memory_order_relaxed);
-  stats.tiles_skipped = g_tiles_skipped.load(std::memory_order_relaxed);
-  return stats;
-}
 
 void QuantizeCandidateBlock(CandidateBlock* block) {
   KGEVAL_CHECK(block->prepared);
@@ -71,8 +41,6 @@ void QuantizeCandidateBlock(CandidateBlock* block) {
   block->q8_scale.resize(dim);
   block->q8_err.resize(dim);
   block->q8_amp.resize(dim);
-  block->q8_lo.resize(dim);
-  block->q8_hi.resize(dim);
   block->q8_bias_amp = 0.0f;
   for (float b : block->bias) {
     block->q8_bias_amp = std::max(block->q8_bias_amp, std::fabs(b));
@@ -81,14 +49,8 @@ void QuantizeCandidateBlock(CandidateBlock* block) {
   for (size_t k = 0; k < dim; ++k) {
     const float* row = tile + k * n;
     int8_t* qrow = block->q8.data() + k * n;
-    float lo = row[0], hi = row[0];
-    for (size_t c = 1; c < n; ++c) {
-      lo = std::min(lo, row[c]);
-      hi = std::max(hi, row[c]);
-    }
-    block->q8_lo[k] = lo;
-    block->q8_hi[k] = hi;
-    const float amp = std::max(std::fabs(lo), std::fabs(hi));
+    float amp = 0.0f;
+    for (size_t c = 0; c < n; ++c) amp = std::max(amp, std::fabs(row[c]));
     block->q8_amp[k] = amp;
     if (amp == 0.0f) {
       block->q8_scale[k] = 0.0f;
@@ -183,55 +145,6 @@ float ScreenErrorBound(BatchKernel kind, const float* qrow, size_t dim,
   return 0.0f;
 }
 
-float TileScoreUpperBound(BatchKernel kind, const float* qrow, size_t dim,
-                          const CandidateBlock& block, float eps) {
-  const float* lo = block.q8_lo.data();
-  const float* hi = block.q8_hi.data();
-  const float* amp = block.q8_amp.data();
-  const float slack = FpSlack(dim);
-  switch (kind) {
-    case BatchKernel::kDot: {
-      // Per dim, q_k e_k is maximized at whichever envelope end the sign of
-      // q_k points to; the sum of those maxima bounds every candidate's dot
-      // (the candidates' coordinates are independent within the envelope,
-      // so this is loose exactly when it is safe to be).
-      float ub = block.q8_bias_amp, mag = 0.0f;
-      for (size_t k = 0; k < dim; ++k) {
-        ub += std::max(qrow[k] * lo[k], qrow[k] * hi[k]);
-        mag += std::fabs(qrow[k]) * amp[k];
-      }
-      return ub + slack * (mag + block.q8_bias_amp);
-    }
-    case BatchKernel::kNegL1: {
-      // |q_k - e_k| >= distance from q_k to [lo_k, hi_k], so the negated
-      // sum of gaps bounds every candidate's score from above.
-      float ub = 0.0f, mag = 0.0f;
-      for (size_t k = 0; k < dim; ++k) {
-        ub -= GapToRange(qrow[k], lo[k], hi[k]);
-        mag += std::fabs(qrow[k]) + amp[k];
-      }
-      return ub + slack * mag;
-    }
-    case BatchKernel::kNegComplexDist: {
-      // sqrt(dre^2 + dim^2 + eps) >= max(|dre|, |dim|) >= the larger of the
-      // two per-coordinate gaps, for any eps >= 0.
-      (void)eps;
-      const size_t m = dim / 2;
-      float ub = 0.0f, mag = 0.0f;
-      for (size_t j = 0; j < m; ++j) {
-        const float gr = GapToRange(qrow[j], lo[j], hi[j]);
-        const float gi = GapToRange(qrow[m + j], lo[m + j], hi[m + j]);
-        ub -= std::max(gr, gi);
-      }
-      for (size_t k = 0; k < dim; ++k) {
-        mag += std::fabs(qrow[k]) + amp[k];
-      }
-      return ub + slack * (mag + 1.0f);
-    }
-  }
-  return 0.0f;
-}
-
 void ScreenApproxBlock(const KgeModel& model, const Matrix& queries,
                        size_t num_queries, const CandidateBlock& block,
                        ScreenScratch* scratch) {
@@ -296,74 +209,6 @@ void ScreenApproxBlock(const KgeModel& model, const Matrix& queries,
                                scratch->approx.data());
       break;
   }
-}
-
-void ScreenRankBlock(const KgeModel& model, const int32_t* anchors,
-                     const int32_t* truths, size_t num_queries,
-                     int32_t relation, QueryDirection direction,
-                     const CandidateBlock& block,
-                     const std::vector<int32_t>* const* answers, TieBreak tie,
-                     ScreenScratch* scratch, double* ranks,
-                     ScreenStats* stats) {
-  KGEVAL_CHECK(block.prepared && block.quantized);
-  const BatchKernel kind = model.batch_kernel();
-  const size_t n = block.size();
-
-  model.BuildKernelQueries(anchors, num_queries, relation, direction,
-                           &scratch->queries);
-  const Matrix& queries = scratch->queries;
-  const size_t dim = queries.cols();
-  KGEVAL_DCHECK(dim == block.gathered_t.rows());
-
-  // Exact truth scores: the same per-lane reference reduction the batched
-  // kernels match bit-for-bit, so the band test compares against exactly
-  // the truth score the unscreened path would use.
-  scratch->truth_scores.resize(num_queries);
-  for (size_t q = 0; q < num_queries; ++q) {
-    model.ScoreWithQuery(queries, q, &truths[q], 1,
-                         &scratch->truth_scores[q]);
-  }
-
-  // Pass 1: every candidate through the int8 kernel.
-  ScreenApproxBlock(model, queries, num_queries, block, scratch);
-
-  // Pass 2: per query, re-score only the band that can still reach the
-  // truth, then count higher/tied over it with the filtered-rank rules.
-  for (size_t q = 0; q < num_queries; ++q) {
-    const float bound = ScreenErrorBound(kind, queries.Row(q), dim, block);
-    const float truth_score = scratch->truth_scores[q];
-    const float* approx = scratch->approx.data() + q * n;
-    scratch->band_ids.clear();
-    for (size_t c = 0; c < n; ++c) {
-      // Keep iff approx + bound >= truth: a skipped candidate has
-      // exact <= approx + bound < truth, strictly below — it could not
-      // have raised `higher` or `tied`, so the rank cannot move.
-      if (approx[c] + bound >= truth_score) {
-        scratch->band_ids.push_back(block.ids[c]);
-      }
-    }
-    const size_t band = scratch->band_ids.size();
-    scratch->band_scores.resize(band);
-    model.ScoreWithQuery(queries, q, scratch->band_ids.data(), band,
-                         scratch->band_scores.data());
-    const std::vector<int32_t>& ans = *answers[q];
-    int64_t higher = 0, tied = 0;
-    for (size_t i = 0; i < band; ++i) {
-      const int32_t c = scratch->band_ids[i];
-      if (c == truths[q]) continue;
-      if (std::binary_search(ans.begin(), ans.end(), c)) continue;
-      const float s = scratch->band_scores[i];
-      if (s > truth_score) {
-        ++higher;
-      } else if (s == truth_score) {
-        ++tied;
-      }
-    }
-    ranks[q] = RankFromCounts(higher, tied, tie);
-    stats->rescored += static_cast<int64_t>(band);
-  }
-  stats->queries += static_cast<int64_t>(num_queries);
-  stats->screened += static_cast<int64_t>(num_queries) * n;
 }
 
 }  // namespace kgeval

@@ -10,7 +10,7 @@
 
 namespace kgeval {
 
-/// Two-pass quantized screening over prepared candidate pools.
+/// Two-pass quantized screening of the full evaluator's entity tiles.
 ///
 /// Pass 1 scores every candidate against an int8 copy of the pool tile —
 /// 4x smaller, and for the dot family the query row is itself quantized so
@@ -20,8 +20,8 @@ namespace kgeval {
 /// approximate score plus a conservative error bound reaches the query's
 /// exact truth score. Candidates outside the band provably score strictly
 /// below the truth, so they can contribute neither a "higher" nor a "tied"
-/// count to FilteredRank — which is the whole input the rank (and every
-/// metric derived from it) depends on. Screened ranks are therefore
+/// count to CountFilteredRank — which is the whole input the rank (and
+/// every metric derived from it) depends on. Screened ranks are therefore
 /// bit-identical to full exact scoring, at a fraction of the fp32 work
 /// whenever most of the pool sits clearly below the truth.
 ///
@@ -34,31 +34,12 @@ namespace kgeval {
 /// use. Conservative in the only direction that matters: a loose bound
 /// re-scores a few extra candidates; it never skips one that counts.
 
-/// Counters describing how much work screening did and saved. Local
-/// accumulation is unsynchronized; call AddGlobalScreenStats once per
-/// thread/pass to fold into the process-wide counters served by STATS.
+/// Counters describing how much work screening did and saved.
 struct ScreenStats {
   int64_t queries = 0;    // Queries ranked through the screen.
-  int64_t screened = 0;   // Pool entries scored with the int8 kernel.
+  int64_t screened = 0;   // Tile entries scored with the int8 kernel.
   int64_t rescored = 0;   // Band entries re-scored with the exact kernel.
-  /// Full evaluator only: whole entity tiles skipped by the truth-threshold
-  /// test — every query of the block bounded strictly below its truth
-  /// score, so neither the int8 sweep nor any re-scoring touched the tile.
-  int64_t tiles_skipped = 0;
-
-  void Merge(const ScreenStats& other) {
-    queries += other.queries;
-    screened += other.screened;
-    rescored += other.rescored;
-    tiles_skipped += other.tiles_skipped;
-  }
 };
-
-/// Folds local counters into the process-wide totals (relaxed atomics).
-void AddGlobalScreenStats(const ScreenStats& stats);
-
-/// Snapshot of the process-wide totals (the service's STATS verb).
-ScreenStats GlobalScreenStats();
 
 /// Attaches the int8 sidecar to a prepared block: per-dim symmetric
 /// quantization of the gathered tile (q8[k*n+c] = round(tile/scale_k),
@@ -77,24 +58,13 @@ void QuantizeCandidateBlock(CandidateBlock* block);
 float ScreenErrorBound(BatchKernel kind, const float* qrow, size_t dim,
                        const CandidateBlock& block);
 
-/// Upper bound on the exact score of ANY candidate of a quantized block for
-/// one query row, from the tile's per-dim [q8_lo, q8_hi] envelope alone —
-/// no per-candidate work. When this falls strictly below the query's truth
-/// score, the whole tile can contribute neither a higher nor a tied count
-/// and is skipped outright (the full evaluator's truth-threshold early
-/// termination). `eps` is the model's batch_kernel_eps() (kNegComplexDist
-/// only; ignored otherwise).
-float TileScoreUpperBound(BatchKernel kind, const float* qrow, size_t dim,
-                          const CandidateBlock& block, float eps);
-
-/// Reusable buffers for ScreenRankBlock (one per thread).
+/// Reusable buffers for the screened sweep (one per thread).
 struct ScreenScratch {
   Matrix queries;
   std::vector<uint8_t> q8_queries;  // kDot: quantized (+128 offset) rows.
   std::vector<float> q8_query_scale;  // kDot: per-row dequantization scale.
   std::vector<int32_t> iapprox;       // kDot: raw integer dots.
   std::vector<float> approx;          // num_queries x n int8-path scores.
-  std::vector<float> truth_scores;
   std::vector<int32_t> band_ids;      // Entity ids of one query's band.
   std::vector<float> band_scores;     // Their exact scores.
 };
@@ -103,25 +73,10 @@ struct ScreenScratch {
 /// (from `queries`, as BuildKernelQueries laid them out) against every
 /// candidate of a quantized block, through the active int8 kernels, into
 /// scratch->approx (num_queries x block.size(), row-major). Adds the
-/// per-candidate bias when the block carries one. Shared by
-/// ScreenRankBlock and the full evaluator's tile sweep.
+/// per-candidate bias when the block carries one.
 void ScreenApproxBlock(const KgeModel& model, const Matrix& queries,
                        size_t num_queries, const CandidateBlock& block,
                        ScreenScratch* scratch);
-
-/// Screened replacement for the fused ScoreBlock + FilteredRank pair over
-/// one kernel-homogeneous query block: writes ranks[q] (1-based, tie-
-/// resolved like FilteredRank) for each of the num_queries queries.
-/// answers[q] is query q's sorted filtered-answer list (never null).
-/// Requires a prepared AND quantized block. Ranks are bit-identical to
-/// scoring the whole pool exactly and calling FilteredRank.
-void ScreenRankBlock(const KgeModel& model, const int32_t* anchors,
-                     const int32_t* truths, size_t num_queries,
-                     int32_t relation, QueryDirection direction,
-                     const CandidateBlock& block,
-                     const std::vector<int32_t>* const* answers, TieBreak tie,
-                     ScreenScratch* scratch, double* ranks,
-                     ScreenStats* stats);
 
 }  // namespace kgeval
 

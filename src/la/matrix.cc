@@ -41,22 +41,22 @@ void GatherRowsT(const Matrix& src, const int32_t* ids, size_t n,
 // bit-identical per cell (see kernels.h for the lane-order contract these
 // wrappers' callers rely on).
 
-void DotScoreBatch(const Matrix& queries, const Matrix& gathered_t,
-                   float* out) {
+void DotScoreTile(const Matrix& queries, const Matrix& gathered_t,
+                  float* out) {
   KGEVAL_CHECK(queries.cols() == gathered_t.rows());
   ActiveScoreKernels().dot(queries.data(), queries.rows(), queries.cols(),
                            gathered_t.data(), gathered_t.cols(), out);
 }
 
-void NegL1ScoreBatch(const Matrix& queries, const Matrix& gathered_t,
-                     float* out) {
+void NegL1ScoreTile(const Matrix& queries, const Matrix& gathered_t,
+                    float* out) {
   KGEVAL_CHECK(queries.cols() == gathered_t.rows());
   ActiveScoreKernels().neg_l1(queries.data(), queries.rows(), queries.cols(),
                               gathered_t.data(), gathered_t.cols(), out);
 }
 
-void NegComplexDistScoreBatch(const Matrix& queries, const Matrix& gathered_t,
-                              float eps, float* out) {
+void NegComplexDistScoreTile(const Matrix& queries, const Matrix& gathered_t,
+                             float eps, float* out) {
   KGEVAL_CHECK(queries.cols() == gathered_t.rows());
   KGEVAL_CHECK(queries.cols() % 2 == 0);
   ActiveScoreKernels().neg_complex_dist(queries.data(), queries.rows(),

@@ -80,23 +80,23 @@ void GatherRowsT(const Matrix& src, const int32_t* ids, size_t n,
 /// Each output cell accumulates over k in exactly Dot()'s sequential order
 /// (the vectorized lanes are independent candidates), so every score is
 /// bit-identical to the scalar path.
-void DotScoreBatch(const Matrix& queries, const Matrix& gathered_t,
-                   float* out);
+void DotScoreTile(const Matrix& queries, const Matrix& gathered_t,
+                  float* out);
 
 /// out[q * n + c] = -sum_k |queries(q, k) - gathered_t(k, c)| — the pairwise
 /// negative L1 distance used by translational scoring. Same transposed
-/// layout and bit-exactness guarantee as DotScoreBatch.
-void NegL1ScoreBatch(const Matrix& queries, const Matrix& gathered_t,
-                     float* out);
+/// layout and bit-exactness guarantee as DotScoreTile.
+void NegL1ScoreTile(const Matrix& queries, const Matrix& gathered_t,
+                    float* out);
 
 /// out[q * n + c] = -sum_j sqrt((q_re - g_re)^2 + (q_im - g_im)^2 + eps)
 /// over the m = rows/2 complex coordinates: pairwise negative complex
 /// distance over split re/im planes. Rows [0, m) of `gathered_t` are the
 /// candidates' real plane and rows [m, 2m) the imaginary plane (the natural
 /// split a transposed gather produces for the complex-valued models). Same
-/// layout and bit-exactness guarantee as DotScoreBatch.
-void NegComplexDistScoreBatch(const Matrix& queries, const Matrix& gathered_t,
-                              float eps, float* out);
+/// layout and bit-exactness guarantee as DotScoreTile.
+void NegComplexDistScoreTile(const Matrix& queries, const Matrix& gathered_t,
+                             float eps, float* out);
 
 }  // namespace kgeval
 

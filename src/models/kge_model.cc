@@ -104,7 +104,7 @@ void KgeModel::ScorePool(const Matrix& queries, const CandidateBlock& block,
   const size_t n = block.size();
   switch (batch_kernel()) {
     case BatchKernel::kDot:
-      DotScoreBatch(queries, block.gathered_t, pool_scores);
+      DotScoreTile(queries, block.gathered_t, pool_scores);
       if (!block.bias.empty()) {
         for (size_t q = 0; q < queries.rows(); ++q) {
           float* row = pool_scores + q * n;
@@ -113,11 +113,11 @@ void KgeModel::ScorePool(const Matrix& queries, const CandidateBlock& block,
       }
       return;
     case BatchKernel::kNegL1:
-      NegL1ScoreBatch(queries, block.gathered_t, pool_scores);
+      NegL1ScoreTile(queries, block.gathered_t, pool_scores);
       return;
     case BatchKernel::kNegComplexDist:
-      NegComplexDistScoreBatch(queries, block.gathered_t, batch_kernel_eps(),
-                               pool_scores);
+      NegComplexDistScoreTile(queries, block.gathered_t, batch_kernel_eps(),
+                              pool_scores);
       return;
   }
 }
@@ -131,23 +131,6 @@ void KgeModel::ScoreCandidates(int32_t anchor, int32_t relation,
   Matrix queries;
   BuildKernelQueries(&anchor, 1, relation, direction, &queries);
   ScoreWithQuery(queries, 0, candidates, n, out);
-}
-
-void KgeModel::ScoreBatch(const int32_t* anchors, size_t num_queries,
-                          int32_t relation, QueryDirection direction,
-                          const int32_t* candidates, size_t n,
-                          float* out) const {
-  if (candidate_embeddings() == nullptr) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      ScoreCandidates(anchors[q], relation, direction, candidates, n,
-                      out + q * n);
-    }
-    return;
-  }
-  CandidateBlock block;
-  PrepareCandidates(candidates, n, &block);
-  ScoreBlock(anchors, nullptr, num_queries, relation, direction, block, out,
-             nullptr);
 }
 
 void KgeModel::ScorePairs(const int32_t* anchors, const int32_t* candidates,
@@ -186,8 +169,6 @@ void KgeModel::FillCandidateIds(const int32_t* candidates, size_t n,
   block->q8_scale.clear();
   block->q8_err.clear();
   block->q8_amp.clear();
-  block->q8_lo.clear();
-  block->q8_hi.clear();
   block->q8_bias_amp = 0.0f;
 }
 
@@ -213,15 +194,18 @@ void KgeModel::ScoreBlock(const int32_t* anchors, const int32_t* truths,
                           const CandidateBlock& block, float* pool_scores,
                           float* truth_scores) const {
   if (!block.prepared) {
-    // Unfused fallback for blocks without a model-specific layout: pays one
-    // query construction per requested output, like the pre-fusion engine.
-    if (pool_scores != nullptr) {
-      ScoreBatch(anchors, num_queries, relation, direction, block.ids.data(),
-                 block.ids.size(), pool_scores);
-    }
-    if (truth_scores != nullptr) {
-      ScorePairs(anchors, truths, num_queries, 1, relation, direction,
-                 truth_scores);
+    // Fallback for models without a kernel surface: per-query loops over
+    // their ScoreCandidates override.
+    const size_t n = block.size();
+    for (size_t q = 0; q < num_queries; ++q) {
+      if (pool_scores != nullptr) {
+        ScoreCandidates(anchors[q], relation, direction, block.ids.data(), n,
+                        pool_scores + q * n);
+      }
+      if (truth_scores != nullptr) {
+        ScoreCandidates(anchors[q], relation, direction, &truths[q], 1,
+                        &truth_scores[q]);
+      }
     }
     return;
   }

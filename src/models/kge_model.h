@@ -61,13 +61,12 @@ enum class BatchKernel {
 /// (dim x n, candidates contiguous — for ComplEx/RotatE the top/bottom
 /// halves of the tile are the split re/im planes); ConvE additionally
 /// gathers the per-candidate entity bias. Preparing costs one gather +
-/// transpose; every subsequent ScoreBlock call against the block reuses it,
-/// removing the per-call re-gather the batched engine used to pay.
+/// transpose; every subsequent ScoreBlock call against the block reuses it.
 ///
 /// QuantizeCandidateBlock (eval/screen.h) can additionally attach an int8
-/// sidecar of the tile for the screening pass: per-dim symmetric
-/// quantization with the exact per-dim reconstruction-error and magnitude
-/// bounds the screener's conservative band test needs.
+/// sidecar of the tile for the full evaluator's screening pass: per-dim
+/// symmetric quantization with the exact per-dim reconstruction-error and
+/// magnitude bounds the screener's conservative band test needs.
 struct CandidateBlock {
   std::vector<int32_t> ids;  // The pool, in caller order.
   bool sorted = false;       // ids are non-decreasing (a pool invariant the
@@ -87,8 +86,6 @@ struct CandidateBlock {
   std::vector<float> q8_scale;  // Per-dim dequantization scale.
   std::vector<float> q8_err;    // Per-dim max |exact - dequantized|.
   std::vector<float> q8_amp;    // Per-dim max |exact| (fp-slack term).
-  std::vector<float> q8_lo;     // Per-dim exact min (tile-skip bound).
-  std::vector<float> q8_hi;     // Per-dim exact max (tile-skip bound).
   float q8_bias_amp = 0.0f;     // max |bias| (0 when the model has none).
 
   size_t size() const { return ids.size(); }
@@ -132,9 +129,9 @@ class KgeModel {
   /// batched reduction they collapse to, the embedding table candidates are
   /// gathered from, an optional per-entity bias, and how to fold
   /// (anchor, relation, direction) into per-query kernel rows. Everything
-  /// else — single-query scoring, batching, pool preparation, fused blocks,
-  /// screening — is implemented once in the base class on top of these.
-  /// A model (e.g. a test fake) that returns nullptr from
+  /// else — single-query scoring, pair scoring, pool preparation, fused
+  /// blocks, screening — is implemented once in the base class on top of
+  /// these. A model (e.g. a test fake) that returns nullptr from
   /// candidate_embeddings() opts out and must override ScoreCandidates;
   /// the generic engine then falls back to per-query loops over it.
 
@@ -185,18 +182,6 @@ class KgeModel {
                                const int32_t* candidates, size_t n,
                                float* out) const;
 
-  /// Scores `num_queries` queries that share a (relation, direction) slot
-  /// against one shared candidate pool. `out` is row-major num_queries x n:
-  /// out[q * n + c] is the score of candidates[c] for anchors[q]. With a
-  /// kernel surface this prepares the pool once and runs the gather-once,
-  /// blocked batch kernel, whose per-cell results match ScoreCandidates
-  /// bit-for-bit; without one it loops over ScoreCandidates. This is the
-  /// evaluation hot path: slot-major evaluators feed whole slots here.
-  virtual void ScoreBatch(const int32_t* anchors, size_t num_queries,
-                          int32_t relation, QueryDirection direction,
-                          const int32_t* candidates, size_t n,
-                          float* out) const;
-
   /// Scores query q against its *own* `candidates_per_query` candidates:
   /// out[q * k + j] is the score of candidates[q * k + j] for anchors[q]
   /// (k = candidates_per_query). All queries share (relation, direction).
@@ -222,9 +207,12 @@ class KgeModel {
   /// matrix (pool_scores[q * block.size() + c], bit-identical to
   /// ScoreCandidates) and each query's own-truth score (truth_scores[q],
   /// bit-identical to ScorePairs). Either output may be null to skip it
-  /// (`truths` may be null iff truth_scores is). Halves query construction
-  /// versus a ScoreBatch + ScorePairs pair — the dominant per-query cost
-  /// for ConvE (conv/FC trunk) and TuckER (core contraction).
+  /// (`truths` may be null iff truth_scores is). One query construction
+  /// serves both outputs — it is the dominant per-query cost for ConvE
+  /// (conv/FC trunk) and TuckER (core contraction). This is the evaluation
+  /// hot path: the slot-major evaluators feed whole query blocks here. A
+  /// block that was never prepared (a model without a kernel surface) is
+  /// scored by per-query ScoreCandidates loops.
   virtual void ScoreBlock(const int32_t* anchors, const int32_t* truths,
                           size_t num_queries, int32_t relation,
                           QueryDirection direction,

@@ -27,7 +27,7 @@ namespace kgeval {
 
 /// The protocol version in the connect banner. Bump rules are in
 /// docs/PROTOCOL.md ("Versioning").
-static constexpr int kProtocolVersion = 1;
+static constexpr int kProtocolVersion = 2;
 
 /// Per-connection server state. Owned by the loop thread; executor jobs
 /// only touch the Connection (thread-safe) and post everything else home.

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "eval/screen.h"
 #include "la/kernels/kernels.h"
 #include "service/checkpoint_watcher.h"
 #include "util/logging.h"
@@ -184,13 +183,9 @@ void EvalService::ExecuteLoad(const ParsedCommand& cmd, const EmitFn& emit) {
       loaded->synth->dataset, loaded->filter.get());
   loaded->temporal_protocol = std::make_unique<TemporalFilteredProtocol>(
       loaded->synth->dataset, loaded->temporal_filter.get());
-  FrameworkOptions framework_options = ServiceFrameworkOptions();
-  // Screening never changes served values (ranks are bit-identical with it
-  // on or off), so the flag stays outside the parity-gated contract above.
-  framework_options.screening = options_.screening;
   auto session =
       EvalSession::Create(&loaded->synth->dataset, loaded->filter.get(),
-                          framework_options, split);
+                          ServiceFrameworkOptions(), split);
   if (!session.ok()) {
     EmitError(emit, "internal", session.status().message());
     return;
@@ -443,13 +438,11 @@ void EvalService::ExecuteStats(const EmitFn& emit) {
           .count() -
       start_seconds_;
   const std::string name = loaded_name();
-  const ScreenStats screen = GlobalScreenStats();
   emit(StrFormat(
       "OK uptime_s=%.3f dataset=%s connections=%llu accepted=%llu "
       "commands=%llu errors=%llu items=%llu evals=%llu in_flight=%llu "
       "shed=%llu deadlines=%llu cancelled=%llu idle_closed=%llu "
-      "threads=%zu kernels=%s screen_queries=%lld screen_screened=%lld "
-      "screen_rescored=%lld screen_tiles_skipped=%lld",
+      "threads=%zu kernels=%s",
       uptime, name.empty() ? "-" : name.c_str(),
       static_cast<unsigned long long>(counters_.connections_open.load()),
       static_cast<unsigned long long>(counters_.connections_accepted.load()),
@@ -462,11 +455,7 @@ void EvalService::ExecuteStats(const EmitFn& emit) {
       static_cast<unsigned long long>(counters_.deadlines_exceeded.load()),
       static_cast<unsigned long long>(counters_.cancelled.load()),
       static_cast<unsigned long long>(counters_.idle_closed.load()),
-      GlobalThreadPool()->num_threads(), ActiveScoreKernelName(),
-      static_cast<long long>(screen.queries),
-      static_cast<long long>(screen.screened),
-      static_cast<long long>(screen.rescored),
-      static_cast<long long>(screen.tiles_skipped)));
+      GlobalThreadPool()->num_threads(), ActiveScoreKernelName()));
 }
 
 }  // namespace kgeval

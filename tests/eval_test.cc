@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "eval/full_evaluator.h"
 #include "eval/metrics.h"
 #include "graph/dataset.h"
 #include "models/kge_model.h"
+#include "util/rng.h"
 
 namespace kgeval {
 namespace {
@@ -116,6 +118,76 @@ TEST(FilteredRankTest, TruthDuplicatesInPoolIgnored) {
   EXPECT_DOUBLE_EQ(FilteredRank(candidates, scores, 3, 2, 5.0f, answers,
                                 TieBreak::kMean, /*candidates_sorted=*/true),
                    2.0);
+}
+
+// The sorted count-then-subtract branch of CountFilteredRank against its
+// unsorted reference walk, on seeded random pools: duplicate ids, exact
+// score ties (scores come from 5 levels), truths and answers outside the
+// pool, answer lists with and without the truth, and every TieBreak. Also
+// checks that counts over a split of the pool add up, which the full
+// evaluator's per-tile count relies on.
+TEST(FilteredRankTest, SortedCountMatchesReferenceWalk) {
+  constexpr int32_t kEntities = 40;
+  int64_t ties_seen = 0, filtered_seen = 0;
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    Rng rng(seed);
+    std::vector<float> level(kEntities + 10);
+    for (float& l : level) l = static_cast<float>(rng.NextBounded(5));
+    const size_t n = rng.NextBounded(60);
+    std::vector<int32_t> pool(n);
+    for (int32_t& id : pool) {
+      id = static_cast<int32_t>(rng.NextBounded(kEntities));
+    }
+    std::sort(pool.begin(), pool.end());
+    std::vector<float> scores(n);
+    for (size_t i = 0; i < n; ++i) scores[i] = level[pool[i]];
+    // Ids in [kEntities, kEntities + 10) never appear in the pool.
+    const int32_t truth =
+        static_cast<int32_t>(rng.NextBounded(kEntities + 10));
+    const float truth_score = level[truth];
+    std::vector<int32_t> answers(rng.NextBounded(8));
+    for (int32_t& a : answers) {
+      a = static_cast<int32_t>(rng.NextBounded(kEntities + 10));
+    }
+    if (rng.NextBounded(2) == 0) answers.push_back(truth);
+    std::sort(answers.begin(), answers.end());
+
+    const RankCounts want =
+        CountFilteredRank(pool.data(), scores.data(), n, truth, truth_score,
+                          answers, /*candidates_sorted=*/false);
+    const RankCounts got =
+        CountFilteredRank(pool.data(), scores.data(), n, truth, truth_score,
+                          answers, /*candidates_sorted=*/true);
+    EXPECT_EQ(got.higher, want.higher) << "seed " << seed;
+    EXPECT_EQ(got.tied, want.tied) << "seed " << seed;
+
+    const size_t cut = n == 0 ? 0 : rng.NextBounded(n + 1);
+    RankCounts split =
+        CountFilteredRank(pool.data(), scores.data(), cut, truth,
+                          truth_score, answers, /*candidates_sorted=*/true);
+    split += CountFilteredRank(pool.data() + cut, scores.data() + cut,
+                               n - cut, truth, truth_score, answers,
+                               /*candidates_sorted=*/true);
+    EXPECT_EQ(split.higher, want.higher) << "seed " << seed;
+    EXPECT_EQ(split.tied, want.tied) << "seed " << seed;
+
+    for (TieBreak tie :
+         {TieBreak::kMean, TieBreak::kOptimistic, TieBreak::kPessimistic}) {
+      EXPECT_EQ(FilteredRank(pool.data(), scores.data(), n, truth,
+                             truth_score, answers, tie, true),
+                FilteredRank(pool.data(), scores.data(), n, truth,
+                             truth_score, answers, tie, false))
+          << "seed " << seed;
+    }
+    ties_seen += want.tied;
+    for (int32_t id : pool) {
+      filtered_seen += id == truth ||
+                       std::binary_search(answers.begin(), answers.end(), id);
+    }
+  }
+  // The generator must actually exercise the tie and subtraction paths.
+  EXPECT_GT(ties_seen, 0);
+  EXPECT_GT(filtered_seen, 0);
 }
 
 // A 4-entity hand-checkable dataset for full-ranking tests.

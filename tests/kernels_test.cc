@@ -6,9 +6,7 @@
 #include <numeric>
 #include <vector>
 
-#include "core/adaptive_evaluator.h"
 #include "core/sampled_evaluator.h"
-#include "core/samplers.h"
 #include "eval/full_evaluator.h"
 #include "eval/protocol.h"
 #include "eval/screen.h"
@@ -16,7 +14,6 @@
 #include "models/kge_model.h"
 #include "synth/config.h"
 #include "synth/generator.h"
-#include "util/rng.h"
 
 namespace kgeval {
 namespace {
@@ -176,10 +173,10 @@ INSTANTIATE_TEST_SUITE_P(AllModels, KernelParityTest,
 
 // ---------------------------------------------------------------------------
 // Screening: the quantization error bound must dominate the actual
-// |approx - exact| error, and the tile envelope bound must dominate every
-// exact score — for each kernel family, on every supported implementation.
+// |approx - exact| error — for each kernel family, on every supported
+// implementation.
 
-TEST(ScreenBoundTest, ErrorAndEnvelopeBoundsHoldForEveryKernelFamily) {
+TEST(ScreenBoundTest, ErrorBoundHoldsForEveryKernelFamily) {
   KernelGuard guard;
   // DistMult = kDot, TransE = kNegL1, RotatE = kNegComplexDist, ConvE adds
   // the per-entity bias to the dot family.
@@ -212,17 +209,11 @@ TEST(ScreenBoundTest, ErrorAndEnvelopeBoundsHoldForEveryKernelFamily) {
         for (size_t i = 0; i < anchors.size(); ++i) {
           const float bound = ScreenErrorBound(model->batch_kernel(),
                                                queries.Row(i), dim, block);
-          const float ub =
-              TileScoreUpperBound(model->batch_kernel(), queries.Row(i), dim,
-                                  block, model->batch_kernel_eps());
           EXPECT_GT(bound, 0.0f);
           for (size_t c = 0; c < pool.size(); ++c) {
             const float e = exact[i * pool.size() + c];
             const float a = scratch.approx[i * pool.size() + c];
             EXPECT_LE(std::fabs(a - e), bound)
-                << ModelTypeName(type) << " kernels=" << name << " query "
-                << i << " candidate " << c;
-            EXPECT_LE(e, ub)
                 << ModelTypeName(type) << " kernels=" << name << " query "
                 << i << " candidate " << c;
           }
@@ -233,137 +224,14 @@ TEST(ScreenBoundTest, ErrorAndEnvelopeBoundsHoldForEveryKernelFamily) {
 }
 
 // ---------------------------------------------------------------------------
-// ScreenRankBlock vs the exact FilteredRank, with duplicate candidates and
-// an engineered score tie sitting exactly at the band edge.
+// End-to-end rank parity: full-ranking screening on vs off must be
+// bit-identical for every model and the temporal protocol, and must match
+// the scalar sampled oracle over all-entity pools.
 
-TEST(ScreenRankBlockTest, MatchesFilteredRankWithDuplicatesAndTies) {
-  auto model = CreateModel(ModelType::kDistMult, /*num_entities=*/40,
-                           /*num_relations=*/6, SmallOptions())
-                   .ValueOrDie();
-  // Entity 9 becomes a bit-exact clone of entity 2: every query scores them
-  // identically, so pools containing both produce exact ties — including at
-  // the truth score whenever 2 is the truth (the band-edge case the screen
-  // must keep, never skip).
-  std::vector<KgeModel::NamedParameter> params;
-  model->CollectParameters(&params);
-  Matrix* entities = nullptr;
-  for (const KgeModel::NamedParameter& p : params) {
-    if (std::string(p.name) == "entities") entities = p.matrix;
-  }
-  ASSERT_NE(entities, nullptr);
-  for (size_t k = 0; k < entities->cols(); ++k) {
-    entities->Row(9)[k] = entities->Row(2)[k];
-  }
-
-  // Unsorted pool, duplicates of the truth (2), of its clone (9), and of an
-  // unrelated candidate (3).
-  const std::vector<int32_t> pool = {11, 3, 27, 3, 0,  39, 18, 2,
-                                     9,  9, 2,  7, 25, 33, 1,  14};
-  const std::vector<int32_t> anchors = {0, 5, 17, 39};
-  const std::vector<int32_t> truths = {2, 2, 9, 24};
-  const size_t n = pool.size();
-  const size_t qb = anchors.size();
-  CandidateBlock block;
-  model->PrepareCandidates(pool.data(), n, &block);
-  QuantizeCandidateBlock(&block);
-
-  // Query 1 additionally filters the clone: its tie must vanish from the
-  // screened count exactly as it does from FilteredRank's.
-  const std::vector<int32_t> ans_truth2 = {2};
-  const std::vector<int32_t> ans_truth2_filter9 = {2, 9};
-  const std::vector<int32_t> ans_truth9 = {9};
-  const std::vector<int32_t> ans_truth24 = {24};
-  const std::vector<const std::vector<int32_t>*> answers = {
-      &ans_truth2, &ans_truth2_filter9, &ans_truth9, &ans_truth24};
-
-  for (QueryDirection dir : {QueryDirection::kTail, QueryDirection::kHead}) {
-    for (TieBreak tie :
-         {TieBreak::kMean, TieBreak::kOptimistic, TieBreak::kPessimistic}) {
-      ScreenScratch scratch;
-      ScreenStats stats;
-      std::vector<double> screened(qb);
-      ScreenRankBlock(*model, anchors.data(), truths.data(), qb, 3, dir,
-                      block, answers.data(), tie, &scratch, screened.data(),
-                      &stats);
-      std::vector<float> scores(n), truth_score(1);
-      for (size_t q = 0; q < qb; ++q) {
-        model->ScoreCandidates(anchors[q], 3, dir, pool.data(), n,
-                               scores.data());
-        model->ScoreCandidates(anchors[q], 3, dir, &truths[q], 1,
-                               truth_score.data());
-        const double want =
-            FilteredRank(pool.data(), scores.data(), n, truths[q],
-                         truth_score[0], *answers[q], tie,
-                         /*candidates_sorted=*/false);
-        EXPECT_EQ(screened[q], want) << "query " << q;
-      }
-      EXPECT_EQ(stats.queries, static_cast<int64_t>(qb));
-      EXPECT_EQ(stats.screened, static_cast<int64_t>(qb * n));
-      EXPECT_GT(stats.rescored, 0);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end rank parity: screening on vs off must be bit-identical for
-// every model, every evaluator, and the temporal protocol.
-
-TEST(ScreenedEvalTest, SampledRanksBitIdenticalForEveryModel) {
+TEST(ScreenedEvalTest, FullRankingBitIdenticalForEveryModel) {
   const Dataset dataset = SynthDataset();
   const FilterIndex filter(dataset);
-  Rng rng(13);
-  const SampledCandidates pools = DrawCandidates(
-      SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
-      /*n_s=*/60, NeededSlots(dataset, Split::kTest),
-      2 * dataset.num_relations(), &rng);
   for (ModelType type : kAllModels) {
-    auto model = CreateModel(type, dataset.num_entities(),
-                             dataset.num_relations(), SmallOptions())
-                     .ValueOrDie();
-    const SampledEvalResult exact =
-        EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    SampledEvalOptions screened_options;
-    screened_options.screening = true;
-    screened_options.screening_min_pool = 1;
-    const SampledEvalResult screened = EvaluateSampled(
-        *model, dataset, filter, Split::kTest, pools, screened_options);
-    EXPECT_EQ(screened.ranks, exact.ranks) << ModelTypeName(type);
-    EXPECT_DOUBLE_EQ(screened.metrics.mrr, exact.metrics.mrr)
-        << ModelTypeName(type);
-    EXPECT_EQ(screened.scored_candidates, exact.scored_candidates);
-    EXPECT_EQ(exact.screen.queries, 0);
-    EXPECT_GT(screened.screen.queries, 0) << ModelTypeName(type);
-    EXPECT_GT(screened.screen.screened, 0) << ModelTypeName(type);
-    // The whole point: the screen re-scores a subset of what it swept.
-    EXPECT_LE(screened.screen.rescored, screened.screen.screened);
-  }
-}
-
-TEST(ScreenedEvalTest, PoolsBelowMinSizeScoreExactlyUnscreened) {
-  const Dataset dataset = SynthDataset();
-  const FilterIndex filter(dataset);
-  Rng rng(13);
-  const SampledCandidates pools = DrawCandidates(
-      SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
-      /*n_s=*/60, NeededSlots(dataset, Split::kTest),
-      2 * dataset.num_relations(), &rng);
-  auto model = CreateModel(ModelType::kDistMult, dataset.num_entities(),
-                           dataset.num_relations(), SmallOptions())
-                   .ValueOrDie();
-  SampledEvalOptions options;
-  options.screening = true;
-  options.screening_min_pool = 1000;  // Larger than any pool: never screens.
-  const SampledEvalResult result = EvaluateSampled(
-      *model, dataset, filter, Split::kTest, pools, options);
-  EXPECT_EQ(result.screen.queries, 0);
-  EXPECT_EQ(result.screen.screened, 0);
-}
-
-TEST(ScreenedEvalTest, FullRankingBitIdenticalWithTileSkips) {
-  const Dataset dataset = SynthDataset();
-  const FilterIndex filter(dataset);
-  for (ModelType type : {ModelType::kDistMult, ModelType::kTransE,
-                         ModelType::kRotatE, ModelType::kConvE}) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
@@ -379,65 +247,30 @@ TEST(ScreenedEvalTest, FullRankingBitIdenticalWithTileSkips) {
     EXPECT_EQ(screened.ranks, exact.ranks) << ModelTypeName(type);
     EXPECT_EQ(exact.screen.queries, 0);
     EXPECT_GT(screened.screen.queries, 0) << ModelTypeName(type);
+    // The whole point: the screen re-scores a subset of what it swept.
     EXPECT_LE(screened.screen.rescored, screened.screen.screened);
   }
-}
-
-TEST(ScreenedEvalTest, AdaptiveStoppingDecisionUnchangedByScreening) {
-  const Dataset dataset = SynthDataset();
-  const FilterIndex filter(dataset);
-  Rng rng(17);
-  const SampledCandidates pools = DrawCandidates(
-      SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
-      /*n_s=*/60, NeededSlots(dataset, Split::kTest),
-      2 * dataset.num_relations(), &rng);
-  auto model = CreateModel(ModelType::kComplEx, dataset.num_entities(),
-                           dataset.num_relations(), SmallOptions())
-                   .ValueOrDie();
-  AdaptiveEvalOptions options;
-  options.target_half_width = 0.05;
-  options.batch_queries = 128;
-  options.min_queries = 128;
-  const AdaptiveEvalResult exact = EvaluateAdaptive(
-      *model, dataset, filter, Split::kTest, pools, options);
-  AdaptiveEvalOptions screened_options = options;
-  screened_options.screening = true;
-  screened_options.screening_min_pool = 1;
-  const AdaptiveEvalResult screened = EvaluateAdaptive(
-      *model, dataset, filter, Split::kTest, pools, screened_options);
-  // Bit-identical ranks mean the accumulator, the interval, and therefore
-  // the stopping round are identical too.
-  EXPECT_EQ(screened.ranks, exact.ranks);
-  EXPECT_EQ(screened.rounds, exact.rounds);
-  EXPECT_EQ(screened.converged, exact.converged);
-  EXPECT_EQ(screened.evaluated_queries, exact.evaluated_queries);
-  EXPECT_DOUBLE_EQ(screened.metrics.mrr, exact.metrics.mrr);
-  EXPECT_GT(screened.screen.queries, 0);
-  EXPECT_EQ(exact.screen.queries, 0);
 }
 
 TEST(ScreenedEvalTest, TemporalProtocolRanksBitIdentical) {
   const Dataset dataset = TemporalSynthDataset(/*num_timestamps=*/5);
   const TemporalFilterIndex filter(dataset);
   const TemporalFilteredProtocol protocol(dataset, &filter);
-  Rng rng(19);
-  const SampledCandidates pools = DrawCandidates(
-      SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
-      /*n_s=*/60, NeededSlots(dataset, Split::kTest),
-      2 * dataset.num_relations(), &rng);
   ModelOptions model_options = SmallOptions();
   model_options.num_timestamps = dataset.num_timestamps();
   for (ModelType type : {ModelType::kTComplEx, ModelType::kRotatE}) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), model_options)
                      .ValueOrDie();
-    const SampledEvalResult exact =
-        EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-    SampledEvalOptions screened_options;
+    FullEvalOptions exact_options;
+    exact_options.max_triples = 40;
+    exact_options.entity_tile = 64;
+    const FullEvalResult exact = EvaluateFullRanking(
+        *model, dataset, protocol, Split::kTest, exact_options);
+    FullEvalOptions screened_options = exact_options;
     screened_options.screening = true;
-    screened_options.screening_min_pool = 1;
-    const SampledEvalResult screened = EvaluateSampled(
-        *model, dataset, protocol, Split::kTest, pools, screened_options);
+    const FullEvalResult screened = EvaluateFullRanking(
+        *model, dataset, protocol, Split::kTest, screened_options);
     EXPECT_EQ(screened.ranks, exact.ranks) << ModelTypeName(type);
     EXPECT_GT(screened.screen.queries, 0) << ModelTypeName(type);
   }
@@ -455,8 +288,7 @@ TEST(ScreenedEvalTest, ExhaustivePoolsMatchScreenedFullRanking) {
                    .ValueOrDie();
   SampledEvalOptions sampled_options;
   sampled_options.max_triples = 40;
-  sampled_options.screening = true;
-  const SampledEvalResult sampled = EvaluateSampled(
+  const SampledEvalResult oracle = EvaluateSampledScalar(
       *model, dataset, filter, Split::kTest, pools, sampled_options);
   FullEvalOptions full_options;
   full_options.max_triples = 40;
@@ -464,11 +296,9 @@ TEST(ScreenedEvalTest, ExhaustivePoolsMatchScreenedFullRanking) {
   full_options.entity_tile = 128;
   const FullEvalResult full = EvaluateFullRanking(
       *model, dataset, filter, Split::kTest, full_options);
-  // Exhaustive pools rank against exactly the entity set, so the screened
-  // sampled pass and the screened (tiled) full pass must agree rank-for-
-  // rank — and both screens must have actually engaged.
-  EXPECT_EQ(sampled.ranks, full.ranks);
-  EXPECT_GT(sampled.screen.queries, 0);
+  // Exhaustive pools rank against exactly the entity set, so the scalar
+  // oracle and the screened (tiled) full pass must agree rank-for-rank.
+  EXPECT_EQ(oracle.ranks, full.ranks);
   EXPECT_GT(full.screen.queries, 0);
 }
 

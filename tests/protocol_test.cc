@@ -126,17 +126,12 @@ TEST(StaticParityTest, SampledEnginesBitExactAcrossAllModels) {
     // Pre-refactor API: FilterIndex overload, prepared engine.
     const SampledEvalResult via_filter =
         EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    // Explicit protocol, all three engines.
+    // Explicit protocol, the engine and the scalar oracle.
     const SampledEvalResult prepared =
         EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-    SampledEvalOptions unfused_options;
-    unfused_options.prepared_pools = false;
-    const SampledEvalResult unfused = EvaluateSampled(
-        *model, dataset, protocol, Split::kTest, pools, unfused_options);
     const SampledEvalResult scalar =
         EvaluateSampledScalar(*model, dataset, protocol, Split::kTest, pools);
     EXPECT_EQ(via_filter.ranks, prepared.ranks) << ModelTypeName(type);
-    EXPECT_EQ(prepared.ranks, unfused.ranks) << ModelTypeName(type);
     EXPECT_EQ(prepared.ranks, scalar.ranks) << ModelTypeName(type);
     EXPECT_EQ(via_filter.scored_candidates, scalar.scored_candidates)
         << ModelTypeName(type);
@@ -196,6 +191,8 @@ TEST(StaticParityTest, AdaptiveBitExact) {
 TEST(StaticParityTest, ExhaustivePoolsReproduceFullRanking) {
   // With every entity in every pool, the sampled estimator *is* the full
   // evaluator: pool-ranks equal exhaustive filtered ranks query for query.
+  // Checked with one default tile and with 64-entity tiles (500 entities ->
+  // 8 tiles), so the per-tile exact count is compared with the pool count.
   const Dataset dataset = SynthDataset();
   const FilterIndex filter(dataset);
   const StaticFilteredProtocol protocol(dataset, &filter);
@@ -207,11 +204,16 @@ TEST(StaticParityTest, ExhaustivePoolsReproduceFullRanking) {
                      .ValueOrDie();
     const SampledEvalResult sampled =
         EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-    const FullEvalResult full =
-        EvaluateFullRanking(*model, dataset, protocol, Split::kTest);
-    EXPECT_EQ(sampled.ranks, full.ranks) << ModelTypeName(type);
-    EXPECT_DOUBLE_EQ(sampled.metrics.mrr, full.metrics.mrr)
-        << ModelTypeName(type);
+    for (size_t tile : {size_t{64}, FullEvalOptions().entity_tile}) {
+      FullEvalOptions full_options;
+      full_options.entity_tile = tile;
+      const FullEvalResult full = EvaluateFullRanking(
+          *model, dataset, protocol, Split::kTest, full_options);
+      EXPECT_EQ(sampled.ranks, full.ranks)
+          << ModelTypeName(type) << " entity_tile=" << tile;
+      EXPECT_DOUBLE_EQ(sampled.metrics.mrr, full.metrics.mrr)
+          << ModelTypeName(type) << " entity_tile=" << tile;
+    }
   }
 }
 
@@ -342,13 +344,8 @@ TEST(TemporalProtocolTest, EnginesBitExactOnTemporalData) {
                      .ValueOrDie();
     const SampledEvalResult prepared =
         EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-    SampledEvalOptions unfused_options;
-    unfused_options.prepared_pools = false;
-    const SampledEvalResult unfused = EvaluateSampled(
-        *model, dataset, protocol, Split::kTest, pools, unfused_options);
     const SampledEvalResult scalar =
         EvaluateSampledScalar(*model, dataset, protocol, Split::kTest, pools);
-    EXPECT_EQ(prepared.ranks, unfused.ranks) << ModelTypeName(type);
     EXPECT_EQ(prepared.ranks, scalar.ranks) << ModelTypeName(type);
     EXPECT_EQ(prepared.scored_candidates, scalar.scored_candidates)
         << ModelTypeName(type);
@@ -368,10 +365,15 @@ TEST(TemporalProtocolTest, ExhaustivePoolsReproduceFullRanking) {
                    .ValueOrDie();
   const SampledEvalResult sampled =
       EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-  const FullEvalResult full =
-      EvaluateFullRanking(*model, dataset, protocol, Split::kTest);
-  EXPECT_EQ(sampled.ranks, full.ranks);
-  EXPECT_DOUBLE_EQ(sampled.metrics.mrr, full.metrics.mrr);
+  for (size_t tile : {size_t{64}, FullEvalOptions().entity_tile}) {
+    FullEvalOptions full_options;
+    full_options.entity_tile = tile;
+    const FullEvalResult full = EvaluateFullRanking(
+        *model, dataset, protocol, Split::kTest, full_options);
+    EXPECT_EQ(sampled.ranks, full.ranks) << "entity_tile=" << tile;
+    EXPECT_DOUBLE_EQ(sampled.metrics.mrr, full.metrics.mrr)
+        << "entity_tile=" << tile;
+  }
 }
 
 TEST(TemporalProtocolTest, AdaptiveConvergesOnTimeSlicedQueries) {

@@ -38,20 +38,22 @@ class ScoreBatchTest : public ::testing::TestWithParam<ModelType> {
   }
 };
 
-TEST_P(ScoreBatchTest, MatchesPerQueryScoreCandidates) {
+TEST_P(ScoreBatchTest, PoolOnlyScoreBlockMatchesPerQueryScoreCandidates) {
   auto model = Make();
-  // Unsorted candidates with a duplicate: ScoreBatch makes no ordering
+  // Unsorted candidates with a duplicate: ScoreBlock makes no ordering
   // assumptions about the pool.
   const std::vector<int32_t> candidates = {11, 3, 27, 3, 0, 39, 18};
   const std::vector<int32_t> anchors = {0, 5, 5, 17, 39, 2, 8, 21, 30};
   const size_t n = candidates.size();
   const size_t q = anchors.size();
+  CandidateBlock block;
+  model->PrepareCandidates(candidates.data(), n, &block);
   std::vector<float> batched(q * n), scalar(n);
   for (int32_t relation : {0, 5}) {
     for (QueryDirection dir :
          {QueryDirection::kTail, QueryDirection::kHead}) {
-      model->ScoreBatch(anchors.data(), q, relation, dir, candidates.data(),
-                        n, batched.data());
+      model->ScoreBlock(anchors.data(), nullptr, q, relation, dir, block,
+                        batched.data(), nullptr);
       for (size_t i = 0; i < q; ++i) {
         model->ScoreCandidates(anchors[i], relation, dir, candidates.data(),
                                n, scalar.data());
@@ -179,7 +181,7 @@ TEST_P(ScoreBatchTest, PreparedScoreBlockSkipsNullOutputs) {
   EXPECT_EQ(fused_truth, only_truth);
 }
 
-TEST_P(ScoreBatchTest, UnpreparedBlockFallsBackToBatchedPath) {
+TEST_P(ScoreBatchTest, UnpreparedBlockFallsBackToScoreCandidates) {
   auto model = Make();
   const std::vector<int32_t> candidates = {11, 3, 27};
   const std::vector<int32_t> anchors = {0, 5};
@@ -192,13 +194,16 @@ TEST_P(ScoreBatchTest, UnpreparedBlockFallsBackToBatchedPath) {
   model->ScoreBlock(anchors.data(), truths.data(), anchors.size(), 0,
                     QueryDirection::kTail, block, pool_scores.data(),
                     truth_scores.data());
+  const size_t n = candidates.size();
   std::vector<float> want_pool(pool_scores.size());
-  model->ScoreBatch(anchors.data(), anchors.size(), 0, QueryDirection::kTail,
-                    candidates.data(), candidates.size(), want_pool.data());
-  EXPECT_EQ(pool_scores, want_pool);
   std::vector<float> want_truth(truth_scores.size());
-  model->ScorePairs(anchors.data(), truths.data(), anchors.size(), 1, 0,
-                    QueryDirection::kTail, want_truth.data());
+  for (size_t i = 0; i < anchors.size(); ++i) {
+    model->ScoreCandidates(anchors[i], 0, QueryDirection::kTail,
+                           candidates.data(), n, want_pool.data() + i * n);
+    model->ScoreCandidates(anchors[i], 0, QueryDirection::kTail, &truths[i],
+                           1, &want_truth[i]);
+  }
+  EXPECT_EQ(pool_scores, want_pool);
   EXPECT_EQ(truth_scores, want_truth);
 }
 
@@ -206,12 +211,18 @@ TEST_P(ScoreBatchTest, EmptyBatchAndEmptyPoolAreNoops) {
   auto model = Make();
   const int32_t candidate = 3;
   const int32_t anchor = 1;
+  std::vector<float> untouched(1, -7.0f);
   // No queries: must not touch out.
-  model->ScoreBatch(nullptr, 0, 0, QueryDirection::kTail, &candidate, 1,
-                    nullptr);
+  CandidateBlock block;
+  model->PrepareCandidates(&candidate, 1, &block);
+  model->ScoreBlock(nullptr, nullptr, 0, 0, QueryDirection::kTail, block,
+                    untouched.data(), nullptr);
   // No candidates: must not touch out.
-  model->ScoreBatch(&anchor, 1, 0, QueryDirection::kTail, nullptr, 0,
-                    nullptr);
+  CandidateBlock empty;
+  model->PrepareCandidates(nullptr, 0, &empty);
+  model->ScoreBlock(&anchor, nullptr, 1, 0, QueryDirection::kTail, empty,
+                    untouched.data(), nullptr);
+  EXPECT_EQ(untouched[0], -7.0f);
 }
 
 TEST_P(ScoreBatchTest, PreparedPoolLargerThanOneEntityTile) {
@@ -276,14 +287,9 @@ TEST(SlotMajorEvaluatorTest, RanksIdenticalToScalarTripleMajorOrder) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
-    // Default engine: pools prepared once + fused ScoreBlock.
+    // The engine: pools prepared once + fused ScoreBlock.
     const SampledEvalResult prepared =
         EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    // PR 1 engine: per-block gather through ScoreBatch + ScorePairs.
-    SampledEvalOptions unfused;
-    unfused.prepared_pools = false;
-    const SampledEvalResult batched = EvaluateSampled(
-        *model, dataset, filter, Split::kTest, pools, unfused);
     const SampledEvalResult scalar =
         EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
     ASSERT_EQ(prepared.ranks.size(), scalar.ranks.size());
@@ -291,7 +297,6 @@ TEST(SlotMajorEvaluatorTest, RanksIdenticalToScalarTripleMajorOrder) {
       EXPECT_EQ(prepared.ranks[i], scalar.ranks[i])
           << ModelTypeName(type) << " query " << i;
     }
-    EXPECT_EQ(prepared.ranks, batched.ranks) << ModelTypeName(type);
     EXPECT_EQ(prepared.scored_candidates, scalar.scored_candidates);
     EXPECT_DOUBLE_EQ(prepared.metrics.mrr, scalar.metrics.mrr);
   }

@@ -519,10 +519,11 @@ TEST_F(ServiceTest, StatsReportsDatasetAndCounters) {
   for (const char* key : {"uptime_s", "connections", "accepted", "commands",
                           "errors", "items", "evals", "in_flight", "shed",
                           "deadlines", "cancelled", "idle_closed", "threads",
-                          "kernels", "screen_queries", "screen_screened",
-                          "screen_rescored", "screen_tiles_skipped"}) {
+                          "kernels"}) {
     EXPECT_TRUE(kv.count(key)) << "STATS lacks " << key;
   }
+  // Protocol version 2 dropped the screen_* counters.
+  EXPECT_FALSE(kv.count("screen_queries"));
   EXPECT_NE(kv["kernels"], "") << "STATS must name the dispatched kernels";
 }
 

@@ -30,7 +30,7 @@ void Usage(const char* argv0) {
                "usage: %s [--host=ADDR] [--port=N] [--threads=N] "
                "[--executors=N] [--preload=DATASET] [--deadline=S]\n"
                "       [--idle-timeout=S] [--max-queued=N] "
-               "[--kernels=NAME] [--screening]\n"
+               "[--kernels=NAME]\n"
                "  --host=ADDR       bind address (default 127.0.0.1)\n"
                "  --port=N          TCP port; 0 picks an ephemeral one "
                "(default 7471)\n"
@@ -50,8 +50,6 @@ void Usage(const char* argv0) {
                "(scalar|avx2|avx512|neon|auto;\n"
                "                    default: auto-probe, or "
                "KGEVAL_KERNELS)\n"
-               "  --screening       int8 screening for every pass (served "
-               "values are bit-identical)\n"
                "\n"
                "KGEVAL_FAULTS=<spec> arms fault-injection points at "
                "startup (testing only; see docs/ARCHITECTURE.md).\n",
@@ -98,8 +96,6 @@ int main(int argc, char** argv) {
                      selected.ToString().c_str());
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--screening") == 0) {
-      options.service.screening = true;
     } else {
       Usage(argv[0]);
       return 2;
@@ -138,9 +134,7 @@ int main(int argc, char** argv) {
 
   // The selected dispatch path, logged once at startup: benchmark logs and
   // bug reports need to say which ISA actually scored.
-  KGEVAL_LOG(Info) << "score kernels: " << ActiveScoreKernelName()
-                   << (options.service.screening ? " (screening on)"
-                                                 : " (screening off)");
+  KGEVAL_LOG(Info) << "score kernels: " << ActiveScoreKernelName();
   std::printf("LISTENING %u\n", s.port());
   std::fflush(stdout);
 
