@@ -34,7 +34,12 @@ struct SampledCandidates {
 /// into the per-relation cost of Table 3.
 std::vector<int32_t> NeededSlots(const Dataset& dataset, Split split);
 
-/// Draws candidate pools of size `n_s` for the requested slots.
+/// Draws candidate pools of size `n_s` for the requested (distinct) slots.
+/// Takes exactly one value from `rng` per call and seeds one stream per
+/// slot from it, so a pool is a pure function of (the parent stream's state,
+/// slot): it does not depend on the worker count or on which other slots
+/// were requested. Slots are drawn in parallel on the global worker pool
+/// (inline when called from a pool worker).
 /// - kRandom ignores `sets` (may be null) and samples uniformly from all
 ///   entities.
 /// - kStatic requires `sets` (thresholded) and draws min(n_s, |set|)

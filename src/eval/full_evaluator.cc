@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "eval/slot_blocks.h"
+#include "la/matrix.h"
 #include "sched/task_group.h"
 #include "util/logging.h"
 
@@ -144,7 +145,7 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   SubmitSlotChunks(&group, blocks, [&](size_t block_lo, size_t block_hi) {
     std::vector<int32_t> anchors(kQueryBlock), truths(kQueryBlock);
     std::vector<float> truth_scores(kQueryBlock);
-    std::vector<float> scores(kQueryBlock * tile_size);
+    AlignedFloats scores(kQueryBlock * tile_size);
     std::vector<const std::vector<int32_t>*> answers(kQueryBlock);
     std::vector<RankCounts> counts(kQueryBlock);
     ScreenScratch screen_scratch;

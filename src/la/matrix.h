@@ -2,6 +2,7 @@
 #define KGEVAL_LA_MATRIX_H_
 
 #include <cstddef>
+#include <new>
 #include <vector>
 
 #include "util/logging.h"
@@ -9,8 +10,42 @@
 
 namespace kgeval {
 
+/// Allocator whose blocks start on a 64-byte boundary: one cache line, one
+/// AVX-512 vector. With malloc's 16-byte alignment a buffer's offset within
+/// its cache line is whatever the heap hands out, and the batched kernels'
+/// loads and stores split a cache line on every vector unless that offset is
+/// 0; a heap offset that differs per process would make the same full-ranking
+/// sweep ~30% faster in one process than in the next.
+template <typename T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlignment{64};
+
+  CacheAlignedAllocator() = default;
+  template <typename U>
+  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
+  }
+  void deallocate(T* p, size_t) { ::operator delete(p, kAlignment); }
+
+  template <typename U>
+  bool operator==(const CacheAlignedAllocator<U>&) const {
+    return true;
+  }
+  template <typename U>
+  bool operator!=(const CacheAlignedAllocator<U>&) const {
+    return false;
+  }
+};
+
+/// Float buffer for kernel inputs and outputs; see CacheAlignedAllocator.
+using AlignedFloats = std::vector<float, CacheAlignedAllocator<float>>;
+
 /// Row-major dense float matrix. The embedding tables and all model
 /// parameters live in these; rows are the unit of parallel/sparse access.
+/// Storage starts on a cache line (see CacheAlignedAllocator).
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
@@ -64,7 +99,7 @@ class Matrix {
  private:
   size_t rows_;
   size_t cols_;
-  std::vector<float> data_;
+  AlignedFloats data_;
 };
 
 /// Gathers rows `ids[0..n)` of `src` into `out` TRANSPOSED: out is

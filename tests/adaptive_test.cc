@@ -359,6 +359,10 @@ class AdaptiveFixture : public ::testing::Test {
                      .ValueOrDie();
     TrainerOptions trainer_options;
     trainer_options.epochs = 6;
+    // Hogwild training races by design, so a multi-threaded model differs
+    // run to run; one thread makes the model, and with it the interval
+    // checks below, deterministic, and keeps the suite race-free under TSan.
+    trainer_options.num_threads = 1;
     Trainer trainer(dataset_, trainer_options);
     ASSERT_TRUE(trainer.Train(model.get()).ok());
     model_ = model.release();

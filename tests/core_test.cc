@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "core/candidate_sets.h"
@@ -10,6 +12,7 @@
 #include "models/trainer.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "util/thread_pool.h"
 
 namespace kgeval {
 namespace {
@@ -181,6 +184,66 @@ TEST(DrawCandidatesTest, ProbabilisticRespectsSupport) {
   EXPECT_EQ(pools.pools[0], (std::vector<int32_t>{10, 20, 40}));
 }
 
+TEST(DrawCandidatesTest, PoolsAreSlotKeyedAndScheduleIndependent) {
+  constexpr int32_t kEntities = 400;
+  constexpr int32_t kSlots = 12;
+  constexpr int64_t kPoolSize = 30;
+  CandidateSets sets;
+  sets.num_entities = kEntities;
+  for (int32_t slot = 0; slot < kSlots; ++slot) {
+    std::vector<int32_t> members;
+    std::vector<float> weights;
+    for (int32_t e = slot % 3; e < kEntities; e += 2 + slot % 3) {
+      members.push_back(e);
+      weights.push_back(e % 7 == 0 ? 0.0f : 1.0f + static_cast<float>(e % 5));
+    }
+    sets.sets.push_back(std::move(members));
+    sets.weights.push_back(std::move(weights));
+  }
+  std::vector<int32_t> slots(kSlots);
+  std::iota(slots.begin(), slots.end(), 0);
+  for (SamplingStrategy strategy :
+       {SamplingStrategy::kRandom, SamplingStrategy::kStatic,
+        SamplingStrategy::kProbabilistic}) {
+    SCOPED_TRACE(SamplingStrategyName(strategy));
+    const auto draw = [&](const std::vector<int32_t>& requested, Rng* rng) {
+      return DrawCandidates(strategy, &sets, kEntities, kPoolSize, requested,
+                            kSlots, rng);
+    };
+    // From the main thread the slots fan out over the worker pool.
+    Rng rng(21);
+    const SampledCandidates parallel = draw(slots, &rng);
+    // The parent stream advanced by exactly one value.
+    Rng expected(21);
+    expected.Next();
+    EXPECT_EQ(rng.Next(), expected.Next());
+    // From inside a pool worker the same call runs inline.
+    SampledCandidates inline_pools;
+    bool ran_in_worker = false;
+    {
+      ThreadPool worker(1);
+      worker.Submit([&] {
+        ran_in_worker = InThreadPoolWorker();
+        Rng worker_rng(21);
+        inline_pools = draw(slots, &worker_rng);
+      });
+    }  // Joins the worker.
+    EXPECT_TRUE(ran_in_worker);
+    EXPECT_EQ(inline_pools.pools, parallel.pools);
+    EXPECT_EQ(inline_pools.total_sampled, parallel.total_sampled);
+    // A pool depends only on its slot, not on which other slots were drawn.
+    for (int32_t slot : slots) {
+      Rng single_rng(21);
+      const SampledCandidates single = draw({slot}, &single_rng);
+      EXPECT_EQ(single.pools[slot], parallel.pools[slot]) << "slot " << slot;
+      const std::vector<int32_t>& pool = parallel.pools[slot];
+      EXPECT_TRUE(std::adjacent_find(pool.begin(), pool.end(),
+                                     std::greater_equal<int32_t>()) ==
+                  pool.end());  // Sorted and distinct.
+    }
+  }
+}
+
 TEST(SamplingStrategyTest, Names) {
   EXPECT_STREQ(SamplingStrategyName(SamplingStrategy::kRandom), "Random");
   EXPECT_STREQ(SamplingStrategyName(SamplingStrategy::kStatic), "Static");
@@ -203,6 +266,9 @@ class TrainedFixture : public ::testing::Test {
                      .ValueOrDie();
     TrainerOptions trainer_options;
     trainer_options.epochs = 8;
+    // Hogwild training races by design; one thread keeps the suite
+    // race-free under TSan, where its draws run on pool workers.
+    trainer_options.num_threads = 1;
     Trainer trainer(dataset_, trainer_options);
     ASSERT_TRUE(trainer.Train(model.get()).ok());
     model_ = model.release();

@@ -119,6 +119,9 @@ class KpFixture : public ::testing::Test {
                      .ValueOrDie();
     TrainerOptions trainer_options;
     trainer_options.epochs = 6;
+    // Hogwild training races by design; one thread keeps the suite
+    // race-free under TSan, where its draws run on pool workers.
+    trainer_options.num_threads = 1;
     Trainer trainer(dataset_, trainer_options);
     ASSERT_TRUE(trainer.Train(model.get()).ok());
     model_ = model.release();

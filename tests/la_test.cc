@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "la/adam.h"
 #include "la/matrix.h"
@@ -25,6 +27,21 @@ TEST(MatrixTest, RowPointersAreContiguous) {
   m.At(2, 0) = 7.0f;
   EXPECT_FLOAT_EQ(m.Row(2)[0], 7.0f);
   EXPECT_EQ(m.Row(3), m.Row(0) + 15);
+}
+
+TEST(MatrixTest, StorageStartsOnACacheLine) {
+  // Odd sizes, interleaved with unaligned allocations, so that malloc's
+  // 16-byte alignment alone would leave some buffers mid-line.
+  std::vector<std::vector<char>> spacers;
+  for (size_t n = 1; n <= 64; ++n) {
+    spacers.emplace_back(n * 7);
+    Matrix m(n, 3);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(m.data()) % 64, 0u) << n;
+    m.Resize(n + 5, 9);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(m.data()) % 64, 0u) << n;
+    AlignedFloats buffer(n * 5);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(buffer.data()) % 64, 0u) << n;
+  }
 }
 
 TEST(MatrixTest, XavierBoundsRespected) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <functional>
 #include <set>
 
 #include "stats/correlation.h"
@@ -112,6 +115,22 @@ TEST(FloydSamplingTest, DistinctAndInRange) {
   }
 }
 
+TEST(FloydSamplingTest, LargeNSmallKIsSortedAndBounded) {
+  // Memory is O(k): n = INT32_MAX needs no n-sized allocation. Ids span all
+  // four bytes, so the sort makes every pass; k = 5000 puts many ids in
+  // each digit's bucket.
+  Rng rng(12);
+  for (int64_t k : {16, 5000}) {
+    const auto sample = SampleWithoutReplacement(INT32_MAX, k, &rng);
+    ASSERT_EQ(static_cast<int64_t>(sample.size()), k);
+    EXPECT_TRUE(std::adjacent_find(sample.begin(), sample.end(),
+                                   std::greater_equal<int32_t>()) ==
+                sample.end());  // Strictly increasing: sorted and distinct.
+    EXPECT_GE(sample.front(), 0);
+    EXPECT_LT(sample.back(), INT32_MAX);
+  }
+}
+
 TEST(FloydSamplingTest, KGreaterThanNReturnsAll) {
   Rng rng(4);
   const auto sample = SampleWithoutReplacement(10, 50, &rng);
@@ -143,6 +162,16 @@ TEST(SampleFromTest, WholePopulationWhenKTooLarge) {
   Rng rng(7);
   const std::vector<int32_t> population = {1, 2, 3};
   EXPECT_EQ(SampleFrom(population, 10, &rng), population);
+}
+
+TEST(SampleFromTest, UnsortedPopulationGivesSortedSample) {
+  Rng rng(15);
+  const std::vector<int32_t> population = {40, 5, 77, 12, 9};
+  EXPECT_EQ(SampleFrom(population, 10, &rng),
+            (std::vector<int32_t>{5, 9, 12, 40, 77}));
+  const auto sample = SampleFrom(population, 3, &rng);
+  EXPECT_EQ(sample.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
 }
 
 // --- Weighted sampling --------------------------------------------------------
@@ -190,6 +219,78 @@ TEST(WeightedSamplingTest, NoDuplicates) {
       WeightedSampleWithoutReplacement(items, weights, 20, &rng);
   std::set<int32_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), sample.size());
+  EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
+}
+
+// Adds to `inclusion` the probability that each item is among the next
+// `remaining` draws of successive sampling: each draw takes a not-yet-drawn
+// item with probability proportional to its weight. `p` is the probability
+// of the draws so far.
+void AccumulateInclusion(const std::vector<double>& weights, int remaining,
+                         double p, std::vector<bool>* drawn,
+                         std::vector<double>* inclusion) {
+  if (remaining == 0) return;
+  double left = 0.0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if (!(*drawn)[i]) left += weights[i];
+  }
+  if (left <= 0.0) return;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    if ((*drawn)[i] || weights[i] <= 0.0) continue;
+    const double q = p * weights[i] / left;
+    (*inclusion)[i] += q;
+    (*drawn)[i] = true;
+    AccumulateInclusion(weights, remaining - 1, q, drawn, inclusion);
+    (*drawn)[i] = false;
+  }
+}
+
+TEST(WeightedSamplingTest, InclusionFrequenciesMatchExact) {
+  // A-Res (and so A-ExpJ) has the inclusion law of successive sampling.
+  // Heavy items sit both before and after the reservoir fill, so the
+  // exponential jumps and the conditioned replacement keys decide most of
+  // the draws.
+  const std::vector<int32_t> items = {0, 1, 2, 3, 4, 5};
+  const std::vector<float> weights = {1.0f, 0.5f, 0.0f, 8.0f, 2.0f, 4.0f};
+  const std::vector<double> exact_weights(weights.begin(), weights.end());
+  constexpr int kDraws = 20000;
+  Rng rng(14);
+  for (int k = 1; k <= 4; ++k) {
+    std::vector<double> inclusion(items.size(), 0.0);
+    std::vector<bool> drawn(items.size(), false);
+    AccumulateInclusion(exact_weights, k, 1.0, &drawn, &inclusion);
+    std::vector<int> counts(items.size(), 0);
+    for (int trial = 0; trial < kDraws; ++trial) {
+      for (int32_t v : WeightedSampleWithoutReplacement(items, weights, k,
+                                                        &rng)) {
+        ++counts[v];
+      }
+    }
+    for (size_t i = 0; i < items.size(); ++i) {
+      // Binomial(kDraws, pi): a ±4.5 sigma band (zero width for pi = 0).
+      const double pi = inclusion[i];
+      const double sd = std::sqrt(kDraws * pi * (1.0 - pi));
+      EXPECT_LE(std::abs(counts[i] - kDraws * pi), 4.5 * sd)
+          << "k=" << k << " item " << i << ": " << counts[i]
+          << " draws, expected " << kDraws * pi;
+    }
+  }
+  // Equal weights over 64 items with k = 8: every item has pi = 1/8, and
+  // each draw refreshes its threshold several times.
+  const std::vector<float> flat(64, 1.0f);
+  std::vector<int32_t> ids(flat.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
+  std::vector<int> counts(ids.size(), 0);
+  for (int trial = 0; trial < kDraws; ++trial) {
+    for (int32_t v : WeightedSampleWithoutReplacement(ids, flat, 8, &rng)) {
+      ++counts[v];
+    }
+  }
+  const double pi = 1.0 / 8.0;
+  const double sd = std::sqrt(kDraws * pi * (1.0 - pi));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_LE(std::abs(counts[i] - kDraws * pi), 4.5 * sd) << "item " << i;
+  }
 }
 
 // --- Hypergeometric / Theorem 1 -----------------------------------------------
